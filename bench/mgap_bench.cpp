@@ -220,7 +220,7 @@ struct ScaleCell {
   std::uint64_t adv_full_scans{0};
 };
 
-ScaleCell run_scale_cell(unsigned n, sim::Duration duration, unsigned threads) {
+ScaleCell run_scale_cell(unsigned n, sim::Duration duration) {
   testbed::ExperimentConfig cfg;
   cfg.topo.generator = topo::Generator::kRgg;
   cfg.topo.nodes = n;
@@ -234,7 +234,6 @@ ScaleCell run_scale_cell(unsigned n, sim::Duration duration, unsigned threads) {
   cfg.policy = core::IntervalPolicy::randomized(sim::Duration::ms(65),
                                                 sim::Duration::ms(85));
   cfg.seed = 7;
-  cfg.sim_threads = threads;
 
   const auto t0 = std::chrono::steady_clock::now();
   testbed::Experiment exp{std::move(cfg)};
@@ -257,52 +256,24 @@ int run_scale(const std::string& out_dir, bool quick) {
   // neighbor tables rather than the O(N)-per-advertisement scan. The 3k and
   // 10k rows are the arena/SoA payoff: they only became runnable (minutes,
   // not hours) once per-node state was pooled and interference localized.
-  //
-  // The 3k/10k sizes are additionally rerun at sim.threads = 2 and 4: the
-  // lookahead-parallel kernel must reproduce the 1-thread summary exactly
-  // (sent/acked asserted here, the full map in test_parallel_sim) while
-  // cutting wall time; the `speedup` field is wall(1 thread) / wall(N).
-  // Fingerprints cover only the 1-thread rows — parallelism must not move
-  // them by construction.
   const unsigned sizes[] = {15, 100, 1000, 3000, 10000};
-  const unsigned parallel_threads[] = {2, 4};
   const sim::Duration duration = sim::Duration::sec(quick ? 30 : 60);
+  const double sim_seconds = static_cast<double>(duration.count_ns()) * 1e-9;
 
   int rc = 0;
   std::string fingerprint_src;
   std::string json = "{\n  \"bench\": \"scale\",\n  \"cases\": [\n";
 
-  const auto emit_row = [&json](unsigned n, unsigned threads, double sim_seconds,
-                                const ScaleCell& c, double speedup, bool last) {
-    char line[640];
-    std::snprintf(line, sizeof line,
-                  "    {\"nodes\": %u, \"threads\": %u, \"sim_seconds\": %.0f, "
-                  "\"wall_seconds\": %.9f, \"sim_per_wall\": %.1f, "
-                  "\"speedup\": %.3f, \"sent\": %" PRIu64 ", \"acked\": %" PRIu64
-                  ", \"coap_pdr\": %.6f, \"mean_hops\": %.3f, \"max_hops\": %" PRIu64
-                  ", \"adv_events_routed\": %" PRIu64
-                  ", \"adv_candidates_scanned\": %" PRIu64
-                  ", \"adv_full_scans\": %" PRIu64 "}%s\n",
-                  n, threads, sim_seconds, c.wall,
-                  c.wall > 0 ? sim_seconds / c.wall : 0.0, speedup, c.s.sent,
-                  c.s.acked, c.s.coap_pdr, c.s.topo_mean_hops, c.s.topo_max_hops,
-                  c.adv_events_routed, c.adv_candidates_scanned, c.adv_full_scans,
-                  last ? "" : ",");
-    json += line;
-  };
-
   for (std::size_t i = 0; i < std::size(sizes); ++i) {
     const unsigned n = sizes[i];
-    const bool parallel_rows = n >= 3000;
-    const ScaleCell serial = run_scale_cell(n, duration, 1);
-    const testbed::ExperimentSummary& s = serial.s;
-    const double sim_seconds = static_cast<double>(duration.count_ns()) * 1e-9;
+    const ScaleCell c = run_scale_cell(n, duration);
+    const testbed::ExperimentSummary& s = c.s;
 
-    if (serial.adv_full_scans != 0) {
+    if (c.adv_full_scans != 0) {
       std::fprintf(stderr,
                    "scale: FAIL: %u-node case fell back to %" PRIu64
                    " full advertising scans (neighbor table not in effect)\n",
-                   n, serial.adv_full_scans);
+                   n, c.adv_full_scans);
       rc = 1;
     }
     if (s.coap_pdr <= 0.0) {
@@ -311,44 +282,35 @@ int run_scale(const std::string& out_dir, bool quick) {
     }
 
     // Everything except wall time is deterministic; the fingerprint is the
-    // cross-build reproducibility contract for generated worlds. 1-thread
-    // rows only: the parallel rows must match them and are checked below.
+    // cross-build reproducibility contract for generated worlds.
     char det[256];
     std::snprintf(det, sizeof det,
                   "n=%u sent=%" PRIu64 " acked=%" PRIu64
                   " mean_hops=%.6f max_hops=%" PRIu64 " routed=%" PRIu64
                   " scanned=%" PRIu64 ";",
                   n, s.sent, s.acked, s.topo_mean_hops, s.topo_max_hops,
-                  serial.adv_events_routed, serial.adv_candidates_scanned);
+                  c.adv_events_routed, c.adv_candidates_scanned);
     fingerprint_src += det;
 
-    const bool last_size = i + 1 == std::size(sizes);
-    emit_row(n, 1, sim_seconds, serial, 1.0, last_size && !parallel_rows);
+    const double sim_per_wall = c.wall > 0 ? sim_seconds / c.wall : 0.0;
+    char line[640];
+    std::snprintf(line, sizeof line,
+                  "    {\"nodes\": %u, \"sim_seconds\": %.0f, "
+                  "\"wall_seconds\": %.9f, \"sim_per_wall\": %.1f, "
+                  "\"sent\": %" PRIu64 ", \"acked\": %" PRIu64
+                  ", \"coap_pdr\": %.6f, \"mean_hops\": %.3f, \"max_hops\": %" PRIu64
+                  ", \"adv_events_routed\": %" PRIu64
+                  ", \"adv_candidates_scanned\": %" PRIu64
+                  ", \"adv_full_scans\": %" PRIu64 "}%s\n",
+                  n, sim_seconds, c.wall, sim_per_wall, s.sent, s.acked, s.coap_pdr,
+                  s.topo_mean_hops, s.topo_max_hops, c.adv_events_routed,
+                  c.adv_candidates_scanned, c.adv_full_scans,
+                  i + 1 == std::size(sizes) ? "" : ",");
+    json += line;
     std::printf("scale: %5u nodes: %.0f sim-s in %.2f wall-s (%.0fx), PDR %.3f, "
                 "mean hops %.2f, %" PRIu64 " adv routed / %" PRIu64 " scanned\n",
-                n, sim_seconds, serial.wall,
-                serial.wall > 0 ? sim_seconds / serial.wall : 0.0, s.coap_pdr,
-                s.topo_mean_hops, serial.adv_events_routed,
-                serial.adv_candidates_scanned);
-    if (!parallel_rows) continue;
-
-    for (std::size_t t = 0; t < std::size(parallel_threads); ++t) {
-      const unsigned threads = parallel_threads[t];
-      const ScaleCell par = run_scale_cell(n, duration, threads);
-      const double speedup = par.wall > 0 ? serial.wall / par.wall : 0.0;
-      if (par.s.sent != s.sent || par.s.acked != s.acked) {
-        std::fprintf(stderr,
-                     "scale: FAIL: %u-node %u-thread run diverged from the "
-                     "1-thread oracle (sent %" PRIu64 " vs %" PRIu64
-                     ", acked %" PRIu64 " vs %" PRIu64 ")\n",
-                     n, threads, par.s.sent, s.sent, par.s.acked, s.acked);
-        rc = 1;
-      }
-      emit_row(n, threads, sim_seconds, par, speedup,
-               last_size && t + 1 == std::size(parallel_threads));
-      std::printf("scale: %5u nodes @%u threads: %.2f wall-s (%.2fx speedup)\n",
-                  n, threads, par.wall, speedup);
-    }
+                n, sim_seconds, c.wall, sim_per_wall, s.coap_pdr, s.topo_mean_hops,
+                c.adv_events_routed, c.adv_candidates_scanned);
   }
   char tail[96];
   std::snprintf(tail, sizeof tail, "  ],\n  \"deterministic_fnv1a\": \"%016" PRIx64

@@ -289,10 +289,8 @@ double CoapClient::rto_estimate(const net::Ipv6Addr& dst) const {
 void CoapClient::arm_retransmission(std::uint64_t token_id) {
   auto it = pending_.find(token_id);
   if (it == pending_.end()) return;
-  // serial: a retransmit re-enters the node's full send path.
-  it->second.timer =
-      sim_.schedule_in(it->second.timeout, sim::RadioSet::serial({stack_.node()}),
-                       [this, token_id] { on_retransmit_timer(token_id); });
+  it->second.timer = sim_.schedule_in(it->second.timeout,
+                                      [this, token_id] { on_retransmit_timer(token_id); });
 }
 
 void CoapClient::on_retransmit_timer(std::uint64_t token_id) {

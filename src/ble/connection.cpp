@@ -169,13 +169,7 @@ void Connection::shift_anchor(sim::Duration delta) {
 }
 
 void Connection::schedule_event(sim::TimePoint anchor) {
-  // Worker-eligible: a connection event touches exactly the two endpoints'
-  // controllers/schedulers, and everything it schedules lands at least one
-  // pair-exchange time away (the BLE lookahead the parallel kernel relies
-  // on). Order-sensitive global effects (Metrics) are deferred by the layers.
-  hot_.next_event =
-      sim_.schedule_at(anchor, sim::RadioSet::parallel({coord_.id(), sub_.id()}),
-                       [this, anchor] { on_conn_event(anchor); });
+  hot_.next_event = sim_.schedule_at(anchor, [this, anchor] { on_conn_event(anchor); });
 }
 
 void Connection::on_conn_event(sim::TimePoint anchor) {
@@ -416,25 +410,18 @@ bool Connection::run_exchange(sim::TimePoint anchor, std::uint8_t channel) {
   // Backpressure release: freed buffer space lets the host hand the next IP
   // packets down. Scheduled at the end of the exchange to keep causality.
   if (coord_freed || sub_freed) {
-    // serial (not parallel): draining the host queue can enqueue onto the
-    // node's *other* connections and feed Metrics via the app layer.
-    sim_.schedule_at(t, sim::RadioSet::serial({coord_.id(), sub_.id()}),
-                     [this, coord_freed, sub_freed] {
-                       if (coord_freed) coord_.notify_tx_space(*this);
-                       if (sub_freed) sub_.notify_tx_space(*this);
-                     });
+    sim_.schedule_at(t, [this, coord_freed, sub_freed] {
+      if (coord_freed) coord_.notify_tx_space(*this);
+      if (sub_freed) sub_.notify_tx_space(*this);
+    });
   }
   return sub_synced;
 }
 
 void Connection::deliver_later(Role to, LlPdu pdu, sim::TimePoint at) {
-  // serial: delivery runs the full receive path — reassembly, IP forwarding
-  // (which may enqueue onto other connections of these nodes), app handlers
-  // and their Metrics calls — so it must execute in global order.
-  sim_.schedule_at(at, sim::RadioSet::serial({coord_.id(), sub_.id()}),
-                   [this, to, pdu = std::move(pdu), at]() mutable {
-                     coc_.on_pdu_delivered(to, pdu, at);
-                   });
+  sim_.schedule_at(at, [this, to, pdu = std::move(pdu), at]() mutable {
+    coc_.on_pdu_delivered(to, pdu, at);
+  });
 }
 
 void Connection::terminate(DisconnectReason reason) {

@@ -89,14 +89,6 @@ class LinkBackend {
   /// and the experiment installs direct host routes instead of a tree.
   [[nodiscard]] virtual bool transitive() const { return false; }
 
-  /// Conservative PDES lookahead: a lower bound on the simulated delay
-  /// between any parallel-tagged event this backend schedules and everything
-  /// that event schedules in turn. The parallel scheduler caps its window at
-  /// this bound. <= 0 (the default) means the backend gives no guarantee —
-  /// flooding/CSMA backends schedule with sub-window delays — and
-  /// `sim.threads > 1` degrades to the serial lane.
-  [[nodiscard]] virtual sim::Duration parallel_lookahead() const { return {}; }
-
   [[nodiscard]] virtual LinkSummary link_summary() const = 0;
 
   /// Folds backend-specific counters into the summary registry. Counter

@@ -154,13 +154,10 @@ void Statconn::schedule_retry(sim::TimePoint at) {
   if (retry_pending_ && retry_scheduled_for_ <= at) return;
   retry_pending_ = true;
   retry_scheduled_for_ = at;
-  // serial: reconcile() toggles this node's advertising/initiating state,
-  // which the (universal) advertising machinery observes in global order.
-  ctrl_.world().simulator().schedule_at(
-      at, sim::RadioSet::serial({ctrl_.id()}), [this] {
-        retry_pending_ = false;
-        if (started_ && !suspended_) reconcile();
-      });
+  ctrl_.world().simulator().schedule_at(at, [this] {
+    retry_pending_ = false;
+    if (started_ && !suspended_) reconcile();
+  });
 }
 
 void Statconn::reconcile() {

@@ -263,8 +263,7 @@ void IpStack::on_send_refused(NodeId next_hop) {
   fs.backoff_armed = true;
   ++stats_.flow_deferrals;
   record_defer(next_hop, delay, fs.fail_streak);
-  // serial: the drain can enqueue onto any of this node's connections.
-  sim_.schedule_in(delay, sim::RadioSet::serial({node_}), [this, next_hop] {
+  sim_.schedule_in(delay, [this, next_hop] {
     flow_state(next_hop).backoff_armed = false;
     try_drain(next_hop);
   });

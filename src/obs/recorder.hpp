@@ -65,12 +65,6 @@ class Recorder {
   /// stream failed (so a bad disk does not yield a silently truncated trace).
   void close();
 
-  /// Any sink attached? The parallel scheduler forces the serial lane while
-  /// a recorder is active: trace streams are ordered, so recording from
-  /// worker threads would need its own merge — serializing is simpler and
-  /// keeps .mgt byte-identity trivially.
-  [[nodiscard]] bool active() const { return active_; }
-
   [[nodiscard]] std::uint64_t events_recorded() const { return events_; }
   [[nodiscard]] const std::vector<Event>& collected() const { return collected_events_; }
 

@@ -69,12 +69,11 @@ std::uint32_t EventQueue::alloc_slot() {
   return slot;
 }
 
-EventId EventQueue::schedule(TimePoint at, RadioSet tag, Action action) {
+EventId EventQueue::schedule(TimePoint at, Action action) {
   const std::uint32_t slot = alloc_slot();
   Record& rec = slots_[slot];
   assert(!rec.live);
   rec.action = std::move(action);
-  rec.tag = tag;
   rec.live = true;
   heap_.push_back(Key{at, next_seq_++, slot});
   sift_up(heap_.size() - 1);
@@ -82,7 +81,7 @@ EventId EventQueue::schedule(TimePoint at, RadioSet tag, Action action) {
   return EventId{slot, rec.gen};
 }
 
-bool EventQueue::cancel_impl(EventId id) {
+bool EventQueue::cancel(EventId id) {
   if (!id.valid() || id.slot_ >= slots_.size()) return false;
   Record& rec = slots_[id.slot_];
   if (!rec.live || rec.gen != id.gen_) return false;
@@ -91,74 +90,9 @@ bool EventQueue::cancel_impl(EventId id) {
   rec.action.reset();   // release captured resources immediately
   --live_count_;
   ++cancelled_count_;
-  return true;
-}
-
-bool EventQueue::cancel(EventId id) {
-  if (!cancel_impl(id)) return false;
   // The heap key stays behind as a tombstone (that is what makes cancel
   // O(1)); sweeping here restores the invariant that the top key is live.
   sweep_tombstones();
-  return true;
-}
-
-bool EventQueue::cancel_deferred(EventId id) { return cancel_impl(id); }
-
-std::size_t EventQueue::pop_batch(TimePoint horizon, std::vector<Popped>& out) {
-  std::size_t appended = 0;
-  // Serial-only events carry no lookahead guarantee: whatever their handler
-  // schedules may land as early as their own timestamp (reconnect logic draws
-  // a 0..advDelay first-advertising delay, fault handlers restart anything).
-  // So once one joins the batch, nothing strictly later may join — or a spawn
-  // could commit behind an already-executed event it conflicts with.
-  TimePoint cut = horizon;
-  while (live_count_ > 0) {
-    // cancel()/pop()/sweep() keep the top key live between rounds.
-    const Key top = heap_.front();
-    assert(slots_[top.slot].live);
-    if (top.at > cut) break;
-    Record& rec = slots_[top.slot];
-    // Universal events are batch barriers: they run alone (see header).
-    if (rec.tag.universal() && appended > 0) break;
-    const bool universal = rec.tag.universal();
-    if (!universal && rec.tag.serial_only()) cut = top.at;
-    out.push_back(Popped{top.at, top.seq, EventId{top.slot, rec.gen}, rec.tag,
-                         std::move(rec.action)});
-    rec.action.reset();
-    rec.live = false;
-    ++rec.gen;
-    heap_remove_top();
-    free_slots_.push_back(top.slot);
-    --live_count_;
-    ++appended;
-    sweep_tombstones();
-    if (universal) break;
-  }
-  return appended;
-}
-
-EventId EventQueue::reserve(RadioSet tag) {
-  const std::uint32_t slot = alloc_slot();
-  Record& rec = slots_[slot];
-  assert(!rec.live);
-  rec.tag = tag;
-  rec.live = true;  // live-but-keyless: counts as pending, cancellable
-  ++live_count_;
-  return EventId{slot, rec.gen};
-}
-
-bool EventQueue::commit(EventId id, TimePoint at, Action action) {
-  assert(id.valid() && id.slot_ < slots_.size());
-  Record& rec = slots_[id.slot_];
-  if (!rec.live || rec.gen != id.gen_) {
-    // Cancelled between reservation and merge. No heap key exists, so the
-    // sweep can never recycle this slot — do it here.
-    free_slots_.push_back(id.slot_);
-    return false;
-  }
-  rec.action = std::move(action);
-  heap_.push_back(Key{at, next_seq_++, id.slot_});
-  sift_up(heap_.size() - 1);
   return true;
 }
 

@@ -22,12 +22,9 @@
 #include <vector>
 
 #include "sim/action.hpp"
-#include "sim/radio_set.hpp"
 #include "sim/time.hpp"
 
 namespace mgap::sim {
-
-class ParallelScheduler;
 
 /// Opaque handle identifying a scheduled event; may be used to cancel it.
 /// Generation-tagged: a handle kept past its event's firing or cancellation
@@ -40,7 +37,6 @@ class EventId {
 
  private:
   friend class EventQueue;
-  friend class ParallelScheduler;  // hashes (slot, gen) for the window map
   static constexpr std::uint32_t kInvalidSlot = 0xFFFFFFFFu;
   constexpr EventId(std::uint32_t slot, std::uint32_t gen) : slot_{slot}, gen_{gen} {}
   std::uint32_t slot_{kInvalidSlot};
@@ -52,71 +48,13 @@ class EventQueue {
   using Action = sim::Action;
 
   /// Schedules `action` to fire at absolute time `at`. Events scheduled for
-  /// the same instant fire in scheduling order (FIFO). The two-argument form
-  /// tags the event RadioSet::exclusive() (conservative, serial-lane-only).
-  EventId schedule(TimePoint at, Action action) {
-    return schedule(at, RadioSet::exclusive(), std::move(action));
-  }
-  EventId schedule(TimePoint at, RadioSet tag, Action action);
+  /// the same instant fire in scheduling order (FIFO).
+  EventId schedule(TimePoint at, Action action);
 
   /// Cancels a pending event in O(1). Cancelling an already-fired,
   /// already-cancelled, or default-constructed id is a harmless no-op;
   /// returns whether something was cancelled.
   bool cancel(EventId id);
-
-  // --- parallel-kernel surface (sim::ParallelScheduler) ----------------------
-  // The parallel rounds defer every queue mutation except cancel, so during a
-  // round the heap is immutable and the slot table is only touched under the
-  // scheduler's lock via the calls below.
-
-  /// One event removed by pop_batch(). `id` is the handle outstanding
-  /// references still hold (the pre-pop generation), so the window-local
-  /// cancel map can recognize it.
-  struct Popped {
-    TimePoint at;
-    std::uint64_t seq;
-    EventId id;
-    RadioSet tag;
-    Action action;
-  };
-
-  /// Pops every live event with `at <= horizon` (in (at, seq) order) into
-  /// `out` and returns how many were appended. Universal (exclusive-tagged)
-  /// events act as batch barriers: one is popped only as the sole first
-  /// element of a batch, so whatever it schedules — with no lookahead bound —
-  /// lands at its exact oracle position relative to later events. Serial-only
-  /// events likewise have no lookahead guarantee, but their spawns are bounded
-  /// below by their own timestamp, so one caps the batch at its `at`: events
-  /// strictly later wait for the next round, and a same-window spawn can never
-  /// commit behind an executed conflict. Does NOT
-  /// count pops as fired — the caller accounts executions via note_fired()
-  /// and window-local cancels via note_cancelled(), so the public counters
-  /// match the serial oracle.
-  std::size_t pop_batch(TimePoint horizon, std::vector<Popped>& out);
-
-  /// Allocates a live slot with no heap key yet: the deterministic-merge step
-  /// of a parallel round reserves ids at schedule-call time (so callers can
-  /// hold and cancel them) and commits the (time, seq) keys later in oracle
-  /// order. Reserved slots are cancellable via cancel_deferred().
-  EventId reserve(RadioSet tag);
-
-  /// Gives a reserved slot its heap key (seq assigned now, preserving FIFO
-  /// order of commit calls). Returns false — and recycles the slot — when the
-  /// reservation was cancelled in the meantime.
-  bool commit(EventId id, TimePoint at, Action action);
-
-  /// cancel() without the tombstone sweep: safe while pop_batch() output is
-  /// being executed, because it only touches the slot table (under the
-  /// parallel scheduler's lock), never the heap.
-  bool cancel_deferred(EventId id);
-
-  /// Restores the heap-top-is-live invariant after a parallel round that used
-  /// cancel_deferred(). Must run before the next next_time()/pop*() call.
-  void sweep() { sweep_tombstones(); }
-
-  /// Execution accounting for batch-popped events (see pop_batch).
-  void note_fired(std::uint64_t n) { fired_count_ += n; }
-  void note_cancelled() { ++cancelled_count_; }
 
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_count_; }
@@ -141,7 +79,6 @@ class EventQueue {
  private:
   struct Record {
     Action action;
-    RadioSet tag;
     std::uint32_t gen{0};
     bool live{false};
   };
@@ -157,7 +94,6 @@ class EventQueue {
   }
 
   std::uint32_t alloc_slot();
-  bool cancel_impl(EventId id);  // shared by cancel()/cancel_deferred()
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void heap_remove_top();

@@ -1,32 +1,8 @@
 #include "sim/simulator.hpp"
 
-#include "sim/parallel.hpp"
-
 namespace mgap::sim {
 
-TimePoint Simulator::par_now() const {
-  const TimePoint* t = ParallelScheduler::tls_now();
-  return t != nullptr ? *t : now_;
-}
-
-EventId Simulator::schedule_at(TimePoint at, RadioSet tag, EventQueue::Action action) {
-  if (par_ != nullptr && ParallelScheduler::tls_in_round(par_)) {
-    // Inside a parallel round the heap is frozen: reserve the slot now (the
-    // returned id is live and cancellable) and commit the key at the barrier.
-    return par_->defer_schedule(max(at, par_now()), tag, std::move(action));
-  }
-  return queue_.schedule(max(at, now_), tag, std::move(action));
-}
-
-bool Simulator::cancel(EventId id) {
-  if (par_ != nullptr && ParallelScheduler::tls_in_round(par_)) {
-    return par_->cancel_in_round(id);
-  }
-  return queue_.cancel(id);
-}
-
 std::uint64_t Simulator::run_until(TimePoint until) {
-  if (par_ != nullptr) return par_->run_until(until);
   std::uint64_t ran = 0;
   while (!queue_.empty()) {
     if (queue_.next_time() > until) break;
@@ -39,10 +15,6 @@ std::uint64_t Simulator::run_until(TimePoint until) {
     now_ = until;
   }
   return ran;
-}
-
-bool Simulator::in_parallel_worker() const {
-  return par_ != nullptr && ParallelScheduler::tls_on_worker(par_);
 }
 
 }  // namespace mgap::sim

@@ -1,26 +1,17 @@
 #pragma once
 // The simulation kernel facade: current time, scheduling, and run control.
-//
-// A sim::ParallelScheduler may attach itself (sim.threads > 1): run_until()
-// then delegates to its window loop, now() reads the executing event's
-// timestamp from thread-local state, and schedule/cancel calls made from
-// inside a parallel round are routed through the deferred-merge machinery so
-// sequence-number assignment stays bit-identical to the serial oracle. With
-// nothing attached (the default) every call below compiles to the same
-// single-threaded fast path as before.
+// One serial event loop: run_until() pops the earliest event, advances now()
+// to its timestamp and runs it to completion before the next one.
 
 #include <cstdint>
 #include <functional>
 #include <limits>
 
 #include "sim/event_queue.hpp"
-#include "sim/radio_set.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace mgap::sim {
-
-class ParallelScheduler;
 
 class Simulator {
  public:
@@ -29,10 +20,7 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  [[nodiscard]] TimePoint now() const {
-    if (par_ == nullptr) return now_;
-    return par_now();
-  }
+  [[nodiscard]] TimePoint now() const { return now_; }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   /// Creates an independent RNG stream. Call order does not matter; streams
@@ -41,19 +29,14 @@ class Simulator {
   [[nodiscard]] Rng make_rng() { return Rng{seed_, next_stream_++}; }
   [[nodiscard]] Rng make_rng(std::uint64_t stream) const { return Rng{seed_, stream}; }
 
-  /// Untagged events are RadioSet::exclusive(): conservatively assumed to
-  /// touch every node, so a parallel window runs them alone, in global order.
+  /// Schedules `action` at `at`, clamped to now(): nothing fires in the past.
   EventId schedule_at(TimePoint at, EventQueue::Action action) {
-    return schedule_at(at, RadioSet::exclusive(), std::move(action));
+    return queue_.schedule(max(at, now_), std::move(action));
   }
   EventId schedule_in(Duration delay, EventQueue::Action action) {
-    return schedule_in(delay, RadioSet::exclusive(), std::move(action));
+    return schedule_at(now_ + max(delay, Duration{}), std::move(action));
   }
-  EventId schedule_at(TimePoint at, RadioSet tag, EventQueue::Action action);
-  EventId schedule_in(Duration delay, RadioSet tag, EventQueue::Action action) {
-    return schedule_at(now() + max(delay, Duration{}), tag, std::move(action));
-  }
-  bool cancel(EventId id);
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs events until the queue is exhausted or `until` is reached.
   /// Events exactly at `until` are executed. Returns the number of events run.
@@ -67,28 +50,11 @@ class Simulator {
   [[nodiscard]] std::size_t events_pending() const { return queue_.size(); }
   [[nodiscard]] bool idle() const { return queue_.empty(); }
 
-  /// True when the calling thread is a parallel worker inside a round.
-  /// Layers with order-sensitive global side effects (Metrics callbacks)
-  /// check this and defer the mutation to a same-timestamp serial event.
-  [[nodiscard]] bool in_parallel_worker() const;
-
-  /// The attached parallel scheduler, or nullptr (serial mode).
-  [[nodiscard]] ParallelScheduler* parallel() const { return par_; }
-
  private:
-  friend class ParallelScheduler;  // attaches itself; drives now_/queue_
-
-  [[nodiscard]] TimePoint par_now() const;
-  void attach_parallel(ParallelScheduler* p) { par_ = p; }
-  void detach_parallel(ParallelScheduler* p) {
-    if (par_ == p) par_ = nullptr;
-  }
-
   EventQueue queue_;
   TimePoint now_{TimePoint::origin()};
   std::uint64_t seed_;
   std::uint64_t next_stream_{1};
-  ParallelScheduler* par_{nullptr};
 };
 
 }  // namespace mgap::sim

@@ -48,15 +48,6 @@ class BleConnBackend final : public core::LinkBackend {
   void on_node_crash(NodeId id) override;
   void on_node_reboot(NodeId id) override;
 
-  /// Nothing a connection event schedules lands closer than one empty
-  /// packet-pair exchange after its anchor (deliveries and backpressure
-  /// releases sit at the end of at least one TX/RX pair; everything else —
-  /// next anchor, reconnect backoff, app timers — is milliseconds away).
-  /// Quoted at LE 2M, the faster PHY, so it is conservative for either mode.
-  [[nodiscard]] sim::Duration parallel_lookahead() const override {
-    return phy::pair_time(0, 0, phy::PhyMode::k2M);
-  }
-
   [[nodiscard]] ble::BleWorld* world() { return world_.get(); }
   [[nodiscard]] core::Statconn* statconn(NodeId id) {
     auto it = statconns_.find(id);

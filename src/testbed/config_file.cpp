@@ -184,16 +184,6 @@ void apply_experiment_kv(ExperimentConfig& cfg, const std::string& key,
     cfg.param_update_mitigation = parse_bool(value, key);
   } else if (key == "arena") {
     cfg.arena = parse_bool(value, key);
-  } else if (key == "sim.threads") {
-    const auto n = parse_number(value);
-    if (!n || *n < 1 || *n > 64) {
-      throw std::runtime_error{"config: sim.threads must be in 1..64"};
-    }
-    cfg.sim_threads = static_cast<unsigned>(*n);
-  } else if (key == "sim.window") {
-    const auto d = parse_duration(value);
-    if (!d || d->is_negative()) throw std::runtime_error{"config: bad sim.window"};
-    cfg.sim_window = *d;
   } else if (key == "compression") {
     if (value == "uncompressed") cfg.compression = net::CompressionMode::kUncompressed;
     else if (value == "iphc") cfg.compression = net::CompressionMode::kIphc;
@@ -441,11 +431,6 @@ std::string render_experiment_config(const ExperimentConfig& config) {
       << (config.param_update_mitigation ? "true" : "false") << "\n";
   // Default-on: only the A/B control (arena = false) is worth a line.
   if (!config.arena) out << "arena = false\n";
-  // sim.threads / sim.window are deliberately NOT rendered: execution
-  // parallelism is not part of an experiment's identity (outputs are
-  // bit-identical across thread counts by contract), and rendering them
-  // would break campaign-JSON byte-stability between serial and parallel
-  // runs of the same cell.
   out << "compression = "
       << (config.compression == net::CompressionMode::kIphc ? "iphc" : "uncompressed")
       << "\n";

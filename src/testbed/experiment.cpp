@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "mesh/backend.hpp"
-#include "sim/parallel.hpp"
 #include "testbed/backend_154.hpp"
 #include "testbed/backend_ble.hpp"
 #include "topo/channel.hpp"
@@ -113,9 +112,6 @@ void Experiment::on_ble_link_event(NodeId listener, ble::Connection& conn,
   const NodeId sub = conn.subordinate().id();
   const sim::TimePoint at = sim_.now();
   if (up) {
-    // Link-up only ever fires from the (universal) connect machinery, which
-    // the parallel scheduler always runs on the main thread.
-    assert(!sim_.in_parallel_worker());
     metrics_.on_link_up(listener, sub, at);
     return;
   }
@@ -124,26 +120,12 @@ void Experiment::on_ble_link_event(NodeId listener, ble::Connection& conn,
   if (loss && injector_) {
     // A fault is charged for timeouts up to one supervision window (plus
     // slack) past its end: the loss surfaces only when the timeout expires.
-    // Safe to read from a worker: the injector mutates only inside its own
-    // (universal) fault events, which never overlap a parallel round.
     const sim::Duration grace = config_.supervision_timeout + sim::Duration::sec(1);
     injected = injector_->attributable(listener, at, grace) ||
                injector_->attributable(sub, at, grace);
   }
-  auto apply = [this, listener, sub, at, loss, injected] {
-    metrics_.on_link_down(listener, sub, at);
-    if (loss) metrics_.on_conn_loss(listener, at, injected);
-  };
-  if (sim_.in_parallel_worker()) {
-    // Metrics is shared, order-sensitive state: defer the mutation to a
-    // same-timestamp serial-lane event. The empty footprint is deliberate —
-    // the down/loss fields commute with every send/ack update (disjoint
-    // members, see Metrics), and same-link down→up within one window is
-    // impossible (reconnect backoff ≥ 10 ms ≫ the window).
-    sim_.schedule_at(at, sim::RadioSet::serial({}), std::move(apply));
-  } else {
-    apply();
-  }
+  metrics_.on_link_down(listener, sub, at);
+  if (loss) metrics_.on_conn_loss(listener, at, injected);
 }
 
 void Experiment::install_routes() {
@@ -306,18 +288,6 @@ void Experiment::on_node_reboot(NodeId node) {
 void Experiment::run() {
   assert(!ran_);
   ran_ = true;
-  if (config_.sim_threads > 1) {
-    sim::ParallelConfig pc;
-    pc.threads = config_.sim_threads;
-    pc.lookahead = backend_->parallel_lookahead();
-    pc.window = pc.lookahead > sim::Duration{}
-                    ? sim::min(config_.sim_window, pc.lookahead)
-                    : config_.sim_window;
-    // Trace streams are ordered: recording serializes execution (the window
-    // machinery still runs, so .mgt byte-identity is structural, not luck).
-    pc.force_serial = recorder_.active();
-    par_ = std::make_unique<sim::ParallelScheduler>(sim_, pc);
-  }
   sim_.run_until(sim::TimePoint::origin() + config_.duration);
   for (auto& [id, node] : nodes_) {
     if (node.producer) node.producer->stop();

@@ -35,10 +35,6 @@ class MeshBackend;
 class MeshWorld;
 }  // namespace mgap::mesh
 
-namespace mgap::sim {
-class ParallelScheduler;
-}  // namespace mgap::sim
-
 namespace mgap::testbed {
 
 class BleConnBackend;
@@ -78,15 +74,6 @@ struct ExperimentConfig {
   bool adaptive_channel_map{false};  // controller-side ADH instead (extension)
   double drift_ppm_range{5.0};    // per-node drift ~ U[-r, +r] ppm
   std::uint64_t seed{1};
-
-  /// Lookahead-parallel DES execution (`sim.threads` / `sim.window` config
-  /// keys). 1 = the existing single-threaded scheduler, untouched. N > 1
-  /// attaches a sim::ParallelScheduler whose outputs are bit-identical to
-  /// N = 1 (enforced by test_parallel_sim); backends without a lookahead
-  /// guarantee degrade to the serial lane. The window is additionally capped
-  /// at the backend's parallel_lookahead().
-  unsigned sim_threads{1};
-  sim::Duration sim_window{sim::Duration::us(250)};
 
   /// Allocate per-node state (BLE controllers/connections, IP stacks,
   /// producers) from bump arenas instead of the general heap (`arena` config
@@ -224,10 +211,6 @@ class Experiment {
   /// trace_* config keys; run() closes them after the drain.
   [[nodiscard]] obs::Recorder& recorder() { return recorder_; }
 
-  /// Non-null after run() when sim_threads > 1 (stats inspection in tests
-  /// and the scale bench).
-  [[nodiscard]] sim::ParallelScheduler* parallel_scheduler() { return par_.get(); }
-
   [[nodiscard]] ExperimentSummary summary() const;
 
  private:
@@ -264,7 +247,6 @@ class Experiment {
   std::map<NodeId, Node> nodes_;
   std::unique_ptr<Consumer> consumer_;
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<sim::ParallelScheduler> par_;
   bool ran_{false};
 };
 

@@ -28,10 +28,7 @@ Producer::Producer(sim::Simulator& sim, net::IpStack& stack, Config config, Metr
 void Producer::start() {
   if (running_) return;
   running_ = true;
-  // serial: ticks feed Metrics and the node's send path, both of which must
-  // see global (time, seq) order under the parallel scheduler.
-  sim_.schedule_in(config_.start_delay + next_delay(),
-                   sim::RadioSet::serial({stack_.node()}), [this] { tick(); });
+  sim_.schedule_in(config_.start_delay + next_delay(), [this] { tick(); });
 }
 
 sim::Duration Producer::next_delay() {
@@ -60,8 +57,7 @@ void Producer::tick() {
   // Bound the pending-token table on long runs.
   if (++ticks_ % 64 == 0) client_.expire_pending(sim::Duration::sec(120));
 
-  sim_.schedule_in(next_delay(), sim::RadioSet::serial({stack_.node()}),
-                   [this] { tick(); });
+  sim_.schedule_in(next_delay(), [this] { tick(); });
 }
 
 }  // namespace mgap::testbed

@@ -1,16 +1,15 @@
 #pragma once
-// Differential oracle for the lookahead-parallel scheduler.
+// Differential harness: two ExperimentConfigs that must produce
+// *bit-identical* results — every summary field, the full observability
+// counter map, and optionally the campaign JSON a single-cell sweep would
+// emit and the raw bytes of a .mgt trace stream.
 //
-// The contract under test: for any ExperimentConfig, running with
-// sim.threads = N must be *bit-identical* to the single-threaded oracle —
-// every summary field, the full observability counter map, the campaign JSON
-// a single-cell sweep would emit, and the raw bytes of a .mgt trace stream.
-//
-// run_differential() executes the config twice (serial oracle first, then
-// parallel) and reports the first divergence as text, so the same fixture
-// serves GTest (expect_bit_identical → EXPECT with the message) and the
-// choice-tape property engine (PROP_ASSERT(r.ok, r.divergence) lets the
-// shrinker reduce any divergence to a minimal config).
+// Use it for switches that must not change what a run computes (e.g. the
+// arena allocator on/off): run_differential(a, b) runs both configs and
+// reports every divergence as text, so the same fixture serves GTest
+// (EXPECT_TRUE(r.ok) << r.divergence) and the choice-tape property engine
+// (PROP_ASSERT(r.ok, r.divergence) lets the shrinker reduce a divergence to
+// a minimal config).
 
 #include <unistd.h>
 
@@ -28,21 +27,16 @@
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/writers.hpp"
-#include "sim/parallel.hpp"
 #include "testbed/experiment.hpp"
 
 namespace mgap::testhelpers {
 
 struct OracleOptions {
-  /// Parallel thread count (the serial oracle always runs at 1).
-  unsigned threads{4};
-  /// Also run a single-cell campaign under both schedulers and compare the
-  /// rendered JSON byte-for-byte (two extra experiment runs).
+  /// Also run each config as a single-cell campaign and compare the rendered
+  /// JSON byte-for-byte (two extra experiment runs).
   bool compare_campaign_json{false};
-  /// Also run both schedulers with a .mgt trace attached and compare the
-  /// trace files byte-for-byte (two extra experiment runs; the parallel one
-  /// exercises the force-serial path, which still runs the window/deferred
-  /// machinery).
+  /// Also run each config with a .mgt trace attached and compare the trace
+  /// files byte-for-byte (two extra experiment runs).
   bool compare_mgt_trace{false};
 };
 
@@ -50,16 +44,13 @@ struct OracleResult {
   bool ok{true};
   /// Human-readable description of every field that diverged (empty when ok).
   std::string divergence;
-  testbed::ExperimentSummary serial;
-  testbed::ExperimentSummary parallel;
+  testbed::ExperimentSummary a;
+  testbed::ExperimentSummary b;
   /// Error text when a run threw (random topo specs can fail construction
-  /// deterministically — e.g. disconnected worlds). Both schedulers must
-  /// throw the identical error; only one throwing is a divergence.
-  std::string serial_error;
-  std::string parallel_error;
-  /// Stats of the parallel run (vacuousness checks: did workers actually
-  /// execute anything in parallel?).
-  sim::ParallelStats stats;
+  /// deterministically — e.g. disconnected worlds). Both configs must throw
+  /// the identical error; only one throwing is a divergence.
+  std::string a_error;
+  std::string b_error;
 };
 
 namespace detail {
@@ -81,7 +72,7 @@ inline std::string num(const std::string& v) { return '"' + v + '"'; }
 template <class T>
 void cmp(std::string& out, const char* name, const T& a, const T& b) {
   if (a == b) return;
-  diverge(out, std::string{name} + ": serial=" + num(a) + " parallel=" + num(b));
+  diverge(out, std::string{name} + ": a=" + num(a) + " b=" + num(b));
 }
 
 inline void cmp_counters(std::string& out, const std::map<std::string, double>& a,
@@ -89,24 +80,23 @@ inline void cmp_counters(std::string& out, const std::map<std::string, double>& 
   for (const auto& [k, v] : a) {
     auto it = b.find(k);
     if (it == b.end()) {
-      diverge(out, "counters[" + k + "]: serial=" + num(v) + " parallel=<absent>");
+      diverge(out, "counters[" + k + "]: a=" + num(v) + " b=<absent>");
     } else if (it->second != v) {
-      diverge(out, "counters[" + k + "]: serial=" + num(v) +
-                       " parallel=" + num(it->second));
+      diverge(out, "counters[" + k + "]: a=" + num(v) + " b=" + num(it->second));
     }
   }
   for (const auto& [k, v] : b) {
     if (a.find(k) == a.end()) {
-      diverge(out, "counters[" + k + "]: serial=<absent> parallel=" + num(v));
+      diverge(out, "counters[" + k + "]: a=<absent> b=" + num(v));
     }
   }
 }
 
 /// Compares every observable field of the two summaries.
-inline void cmp_summaries(std::string& out, const testbed::ExperimentSummary& s,
-                          const testbed::ExperimentSummary& p) {
-#define MGAP_ORACLE_FIELD(f) cmp(out, #f, s.f, p.f)
-  cmp(out, "topo_generator", s.topo_generator, p.topo_generator);
+inline void cmp_summaries(std::string& out, const testbed::ExperimentSummary& a,
+                          const testbed::ExperimentSummary& b) {
+#define MGAP_ORACLE_FIELD(f) cmp(out, #f, a.f, b.f)
+  cmp(out, "topo_generator", a.topo_generator, b.topo_generator);
   MGAP_ORACLE_FIELD(topo_seed);
   MGAP_ORACLE_FIELD(topo_nodes);
   MGAP_ORACLE_FIELD(topo_mean_hops);
@@ -138,7 +128,7 @@ inline void cmp_summaries(std::string& out, const testbed::ExperimentSummary& s,
   MGAP_ORACLE_FIELD(pdr_during_fault);
   MGAP_ORACLE_FIELD(pdr_post_fault);
 #undef MGAP_ORACLE_FIELD
-  cmp_counters(out, s.counters, p.counters);
+  cmp_counters(out, a.counters, b.counters);
 }
 
 inline std::string cmp_text(const char* what, const std::string& a,
@@ -147,11 +137,10 @@ inline std::string cmp_text(const char* what, const std::string& a,
   std::size_t i = 0;
   while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
   std::ostringstream os;
-  os << what << ": diverges at byte " << i << " (serial " << a.size()
-     << " bytes, parallel " << b.size() << " bytes)";
+  os << what << ": diverges at byte " << i << " (a " << a.size() << " bytes, b "
+     << b.size() << " bytes)";
   if (i < a.size() || i < b.size()) {
-    os << "; serial[..]=\"" << a.substr(i, 40) << "\" parallel[..]=\""
-       << b.substr(i, 40) << '"';
+    os << "; a[..]=\"" << a.substr(i, 40) << "\" b[..]=\"" << b.substr(i, 40) << '"';
   }
   return os.str();
 }
@@ -173,91 +162,80 @@ inline std::string slurp(const std::string& path) {
   return os.str();
 }
 
-inline testbed::ExperimentSummary run_one(testbed::ExperimentConfig cfg,
-                                          unsigned threads,
-                                          sim::ParallelStats* stats_out) {
-  cfg.sim_threads = threads;
+inline testbed::ExperimentSummary run_one(testbed::ExperimentConfig cfg) {
   testbed::Experiment e{std::move(cfg)};
   e.run();
-  if (stats_out != nullptr) {
-    if (auto* par = e.parallel_scheduler(); par != nullptr) *stats_out = par->stats();
-  }
   return e.summary();
 }
 
-inline std::string campaign_json(const testbed::ExperimentConfig& cfg,
-                                 unsigned threads) {
+inline std::string campaign_json(const testbed::ExperimentConfig& cfg) {
   campaign::CampaignSpec spec;
   spec.name = "oracle";
   spec.base = cfg;
-  spec.base.sim_threads = threads;
   campaign::RunnerOptions opts;
-  opts.threads = 1;  // campaign-level parallelism is not under test here
+  opts.threads = 1;
   opts.progress = false;
   campaign::CampaignRunner runner{opts};
   // Fingerprint-stable form: no code-version metadata, like the benches.
   return campaign::to_json(runner.run(spec), /*include_code_version=*/false);
 }
 
+inline std::string trace_bytes(testbed::ExperimentConfig cfg, const char* stem) {
+  const std::string path = scratch_path(stem);
+  cfg.trace_file = path;
+  (void)run_one(std::move(cfg));
+  std::string bytes = slurp(path);
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  return bytes;
+}
+
 }  // namespace detail
 
-/// Runs `cfg` under the serial oracle and under the parallel scheduler and
-/// compares every observable output. Never asserts itself — callers decide
-/// (EXPECT_TRUE(r.ok) << r.divergence, or PROP_ASSERT(r.ok, r.divergence)).
-inline OracleResult run_differential(const testbed::ExperimentConfig& cfg,
+/// Runs `cfg_a` and `cfg_b` and compares every observable output. Never
+/// asserts itself — callers decide (EXPECT_TRUE(r.ok) << r.divergence, or
+/// PROP_ASSERT(r.ok, r.divergence)).
+inline OracleResult run_differential(const testbed::ExperimentConfig& cfg_a,
+                                     const testbed::ExperimentConfig& cfg_b,
                                      const OracleOptions& opt = {}) {
   OracleResult r;
   try {
-    r.serial = detail::run_one(cfg, 1, nullptr);
+    r.a = detail::run_one(cfg_a);
   } catch (const std::exception& e) {
-    r.serial_error = e.what();
+    r.a_error = e.what();
   }
   try {
-    r.parallel = detail::run_one(cfg, opt.threads, &r.stats);
+    r.b = detail::run_one(cfg_b);
   } catch (const std::exception& e) {
-    r.parallel_error = e.what();
+    r.b_error = e.what();
   }
-  if (r.serial_error != r.parallel_error) {
+  if (r.a_error != r.b_error) {
     detail::diverge(r.divergence,
-                    "error: serial=\"" + r.serial_error + "\" parallel=\"" +
-                        r.parallel_error + '"');
+                    "error: a=\"" + r.a_error + "\" b=\"" + r.b_error + '"');
   }
-  if (!r.serial_error.empty()) {
+  if (!r.a_error.empty()) {
     // Both sides failed identically: a valid (deterministic) outcome, and
     // there are no summaries/files to compare.
     r.ok = r.divergence.empty();
     return r;
   }
-  detail::cmp_summaries(r.divergence, r.serial, r.parallel);
+  detail::cmp_summaries(r.divergence, r.a, r.b);
 
   if (opt.compare_campaign_json) {
-    const std::string js = detail::campaign_json(cfg, 1);
-    const std::string jp = detail::campaign_json(cfg, opt.threads);
-    if (auto d = detail::cmp_text("campaign JSON", js, jp); !d.empty()) {
+    const std::string ja = detail::campaign_json(cfg_a);
+    const std::string jb = detail::campaign_json(cfg_b);
+    if (auto d = detail::cmp_text("campaign JSON", ja, jb); !d.empty()) {
       detail::diverge(r.divergence, d);
     }
   }
 
   if (opt.compare_mgt_trace) {
-    const std::string ps = detail::scratch_path("serial");
-    const std::string pp = detail::scratch_path("parallel");
-    testbed::ExperimentConfig ts = cfg;
-    ts.trace_file = ps;
-    (void)detail::run_one(ts, 1, nullptr);
-    testbed::ExperimentConfig tp = cfg;
-    tp.trace_file = pp;
-    (void)detail::run_one(tp, opt.threads, nullptr);
-    const std::string bs = detail::slurp(ps);
-    const std::string bp = detail::slurp(pp);
-    if (bs.empty()) {
-      detail::diverge(r.divergence, ".mgt trace: serial trace file is empty");
-    }
-    if (auto d = detail::cmp_text(".mgt trace", bs, bp); !d.empty()) {
+    const std::string ta = detail::trace_bytes(cfg_a, "a");
+    const std::string tb = detail::trace_bytes(cfg_b, "b");
+    if (ta.empty()) detail::diverge(r.divergence, ".mgt trace: trace file a is empty");
+    if (auto d = detail::cmp_text(".mgt trace", ta, tb); !d.empty()) {
       detail::diverge(r.divergence, d);
     }
-    std::error_code ec;
-    std::filesystem::remove(ps, ec);
-    std::filesystem::remove(pp, ec);
   }
 
   r.ok = r.divergence.empty();

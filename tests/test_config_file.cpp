@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "campaign/spec.hpp"
 #include "testbed/config_file.hpp"
 
 namespace mgap::testbed {
@@ -91,6 +94,29 @@ TEST(ConfigFile, RejectsUnknownKeyAndBadValues) {
   EXPECT_THROW((void)parse_experiment_config("just a line\n"), std::runtime_error);
   EXPECT_THROW((void)parse_experiment_config("jam_channel_22 = maybe\n"),
                std::runtime_error);
+}
+
+TEST(ConfigFile, RemovedSimThreadsKeysAreUnknown) {
+  // There is no intra-world parallelism: a stale spec naming its old keys
+  // must fail loudly rather than quietly run serial.
+  const auto error_of = [](auto&& parse) -> std::string {
+    try {
+      parse();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "<no error>";
+  };
+  for (const char* knob : {"threads", "window"}) {
+    const std::string key = std::string{"sim."} + knob;
+    const std::string want = "config: unknown key '" + key + "'";
+    EXPECT_EQ(error_of([&] { (void)parse_experiment_config(key + " = 4\n"); }), want);
+    EXPECT_EQ(error_of([&] {
+                (void)campaign::expand_grid(
+                    campaign::parse_campaign_spec(key + " = 1, 4\n"));
+              }),
+              want);
+  }
 }
 
 TEST(ConfigFile, DefaultsMatchExperimentDefaults) {

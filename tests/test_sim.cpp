@@ -348,6 +348,37 @@ TEST(Simulator, ScheduleInPastClampsToNow) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Simulator, CancelOfPoppedEventIsNoOp) {
+  // A cancel that arrives after its event was popped — it already ran, or it
+  // is the event currently running — returns false and changes nothing. A
+  // cancel of a same-tick event that has not run yet succeeds.
+  Simulator sim{1};
+  std::vector<int> fired;
+  bool cancel_b = false;
+  bool cancel_self = true;
+  bool cancel_a_late = true;
+  const TimePoint t0 = TimePoint::origin();
+  EventId id_a;
+  EventId id_b;
+  id_a = sim.schedule_at(t0 + Duration::us(10), [&] {
+    fired.push_back(1);
+    cancel_b = sim.cancel(id_b);     // same tick, not yet run: succeeds
+    cancel_self = sim.cancel(id_a);  // currently running: no-op
+  });
+  id_b = sim.schedule_at(t0 + Duration::us(10), [&] { fired.push_back(2); });
+  sim.schedule_at(t0 + Duration::us(20), [&] {
+    fired.push_back(3);
+    cancel_a_late = sim.cancel(id_a);  // already fired: no-op
+  });
+  sim.run_until(t0 + Duration::ms(1));
+
+  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  EXPECT_TRUE(cancel_b);
+  EXPECT_FALSE(cancel_self);
+  EXPECT_FALSE(cancel_a_late);
+  EXPECT_EQ(sim.events_cancelled(), 1u);
+}
+
 TEST(SleepClock, DriftRoundTrip) {
   const SleepClock clk{5.0};  // +5 ppm fast
   const Duration local = Duration::sec(3600);
