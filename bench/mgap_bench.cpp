@@ -177,7 +177,7 @@ int run_campaign(const std::string& out_dir, bool quick) {
   spec.base.producer_interval = sim::Duration::sec(1);
   spec.base.producer_jitter = sim::Duration::ms(500);
   spec.seeds = {1, 2, 3};
-  spec.axes.push_back({"conn_interval", {"75ms", "65:85ms"}});
+  spec.axes.push_back({{"conn_interval"}, {{"75ms"}, {"65:85ms"}}});
 
   campaign::RunnerOptions options;
   options.progress = false;

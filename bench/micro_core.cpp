@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <vector>
 
 #include "app/coap.hpp"
@@ -127,44 +126,9 @@ static void BM_ConnectionEventProcessing(benchmark::State& state) {
 }
 BENCHMARK(BM_ConnectionEventProcessing);
 
-// Trace-emission overhead. The hot paths guard every string trace with
-// tracing(cat) and every typed event with recorder->wants(type), so the
-// disabled configuration pays one predictable branch per site. Before the
-// lazy-formatter rework, sites like BleWorld::open_connection built their
-// snprintf message unconditionally — roughly two orders of magnitude more
-// per call than the guard (compare the two benchmarks below), multiplied by
-// every connection event of a 24 h campaign.
-static void BM_TraceDisabledLazyGuard(benchmark::State& state) {
-  sim::Simulator simu{1};
-  ble::BleWorld world{simu, phy::ChannelModel{0.0}};  // no tracer attached
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    world.trace_lazy(sim::TraceCat::kGap, 1, [&] {
-      char msg[96];
-      std::snprintf(msg, sizeof msg, "open conn=%llu interval=%dus",
-                    static_cast<unsigned long long>(++n), 75000);
-      return std::string{msg};
-    });
-    benchmark::DoNotOptimize(n);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TraceDisabledLazyGuard);
-
-static void BM_TraceDisabledEagerFormat(benchmark::State& state) {
-  // What every call used to cost: format first, ask questions later.
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    char msg[96];
-    std::snprintf(msg, sizeof msg, "open conn=%llu interval=%dus",
-                  static_cast<unsigned long long>(++n), 75000);
-    std::string s{msg};
-    benchmark::DoNotOptimize(s);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TraceDisabledEagerFormat);
-
+// Trace-emission overhead: every typed event is guarded by
+// recorder->wants(type), so the disabled configuration pays one predictable
+// branch per site.
 static void BM_RecorderDisabledWants(benchmark::State& state) {
   // The typed-event guard on a recorder with no sinks: the per-PDU cost the
   // connection engine pays when tracing is off.

@@ -7,7 +7,9 @@
 //        output prefix is given.
 //
 // Usage:  run_experiment <config-file> [output-prefix]
-// Sample descriptions live in examples/experiments/.
+// Sample descriptions live in examples/experiments/. MGAP_TIME_SCALE
+// shortens the run, as in mgap_campaign; the description printed is the one
+// that ran.
 
 #include <cstdio>
 #include <fstream>
@@ -29,6 +31,7 @@ int main(int argc, char** argv) {
   ExperimentConfig cfg;
   try {
     cfg = load_experiment_config(argv[1]);
+    cfg.duration = scaled_duration(cfg.duration);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <vector>
 
 #include "ble/controller.hpp"
@@ -428,16 +427,6 @@ void Connection::terminate(DisconnectReason reason) {
   if (!hot_.open) return;
   hot_.open = false;
   if (reason == DisconnectReason::kSupervisionTimeout) ++stats_.conn_losses;
-  world_.trace_lazy(sim::TraceCat::kLinkLayer, coord_.id(), [&] {
-    char msg[96];
-    std::snprintf(msg, sizeof msg, "conn %llu closed reason=%s missed=%llu",
-                  static_cast<unsigned long long>(id_),
-                  reason == DisconnectReason::kSupervisionTimeout ? "supervision"
-                  : reason == DisconnectReason::kLocalClose       ? "local"
-                                                                  : "peer",
-                  static_cast<unsigned long long>(stats_.events_missed));
-    return std::string{msg};
-  });
   if (obs::Recorder* rec = world_.recorder();
       rec != nullptr && rec->wants(obs::EventType::kConnClose)) {
     obs::Event e;

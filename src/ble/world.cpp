@@ -1,6 +1,5 @@
 #include "ble/world.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "obs/recorder.hpp"
@@ -54,13 +53,6 @@ Connection& BleWorld::open_connection(Controller& coord, Controller& sub,
       sim_, *this, id, coord, sub, params, first_anchor, access_address, default_chmap_,
       stats, hot, coord.config().conn, sim_.make_rng()));
   Connection& conn = *connections_.back();
-  trace_lazy(sim::TraceCat::kGap, coord.id(), [&] {
-    char msg[96];
-    std::snprintf(msg, sizeof msg, "conn %llu open coord=%u sub=%u itvl=%s",
-                  static_cast<unsigned long long>(id), coord.id(), sub.id(),
-                  params.interval.str().c_str());
-    return std::string{msg};
-  });
   if (recorder_ != nullptr && recorder_->wants(obs::EventType::kConnOpen)) {
     obs::Event e;
     e.at = sim_.now();

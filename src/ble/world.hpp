@@ -19,7 +19,6 @@
 #include "sim/ids.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace mgap::sim {
 class Simulator;
@@ -136,32 +135,12 @@ class BleWorld {
 
   [[nodiscard]] sim::Rng& rng() { return rng_; }
 
-  /// Optional event tracing (the paper's per-node STDIO event dump,
-  /// section 4.2). Null disables tracing (the default).
-  void set_tracer(sim::Tracer* tracer) { tracer_ = tracer; }
-  void trace(sim::TraceCat cat, NodeId node, std::string msg) {
-    if (tracer_ != nullptr) tracer_->emit(sim_.now(), cat, node, std::move(msg));
-  }
-  [[nodiscard]] bool tracing() const { return tracer_ != nullptr && tracer_->enabled(); }
-  /// Category-aware guard: false also when the sink's mask excludes `cat`, so
-  /// callers skip the formatting work entirely.
-  [[nodiscard]] bool tracing(sim::TraceCat cat) const {
-    return tracer_ != nullptr && tracer_->enabled(cat);
-  }
-  /// Lazy emission: `format` (returning std::string) runs only when a sink is
-  /// subscribed to `cat` — the hot-path-safe way to trace.
-  template <typename Fn>
-  void trace_lazy(sim::TraceCat cat, NodeId node, Fn&& format) {
-    if (tracing(cat)) tracer_->emit(sim_.now(), cat, node, format());
-  }
-
   /// Optional typed binary event recorder (obs subsystem); null disables.
   /// Propagates to every controller's radio scheduler, present and future.
   void set_recorder(obs::Recorder* recorder);
   [[nodiscard]] obs::Recorder* recorder() const { return recorder_; }
 
  private:
-  sim::Tracer* tracer_{nullptr};
   obs::Recorder* recorder_{nullptr};
   LinkPerFn link_per_;
   sim::Simulator& sim_;

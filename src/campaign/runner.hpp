@@ -12,9 +12,9 @@
 // Thread-safety audit (satellite of PR 1): an Experiment owns every piece of
 // mutable state it touches — Simulator (event queue + RNG streams), Metrics,
 // BleWorld/Network154, per-node stacks — and the tree holds no globals or
-// function-local statics. The only shared-sink hazard, sim::Tracer, is opt-in
-// (null by default) and never installed by the runner; the process-wide
-// stdout/stderr are written only by the mutex-guarded progress reporter.
+// function-local statics; trace sinks are per-cell files (obs::Recorder owned
+// by the Experiment), and the process-wide stdout/stderr are written only by
+// the mutex-guarded progress reporter.
 // `tests/test_campaign.cpp` pins this down by running concurrent Experiments
 // against serial ones, and CI builds the campaign tests under
 // -fsanitize=thread.

@@ -1,5 +1,6 @@
 #include "campaign/spec.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <fstream>
@@ -71,6 +72,13 @@ std::string CellConfig::label() const {
 }
 
 std::vector<CellConfig> expand_grid(const CampaignSpec& spec) {
+  for (const CampaignSpec::Axis& axis : spec.axes) {
+    for (const std::vector<std::string>& step : axis.values) {
+      if (step.size() != axis.keys.size()) {
+        throw std::runtime_error{"campaign: sweep step size differs from its key count"};
+      }
+    }
+  }
   std::vector<CellConfig> out;
   const std::size_t n = spec.grid_size();
   out.reserve(n);
@@ -85,11 +93,12 @@ std::vector<CellConfig> expand_grid(const CampaignSpec& spec) {
       stride /= axis.values.size();
       const std::size_t pick = rest / stride;
       rest %= stride;
-      const std::string& value = axis.values[pick];
-      testbed::apply_experiment_kv(cell.config, axis.key, value);
-      cell.assignment.emplace_back(axis.key, value);
+      const std::vector<std::string>& step = axis.values[pick];
+      for (std::size_t k = 0; k < axis.keys.size(); ++k) {
+        testbed::apply_experiment_kv(cell.config, axis.keys[k], step[k]);
+        cell.assignment.emplace_back(axis.keys[k], step[k]);
+      }
     }
-    if (spec.finalize) spec.finalize(cell.config);
     out.push_back(std::move(cell));
   }
   return out;
@@ -146,33 +155,47 @@ CampaignSpec parse_campaign_spec(std::string_view text) {
       continue;
     }
     // A comma makes the key a sweep axis; a single value configures the base.
-    // (No ExperimentConfig value contains a comma: ranges use ':', names are
-    // bare words — so the comma is unambiguous sweep syntax.)
-    if (value.find(',') != std::string_view::npos) {
-      CampaignSpec::Axis axis;
-      axis.key = key;
-      for (const std::string_view part : split(value, ',')) {
-        if (part.empty()) {
-          throw std::runtime_error{"campaign line " + std::to_string(line_no) +
-                                   ": empty sweep value for '" + key + "'"};
-        }
-        axis.values.emplace_back(part);
-      }
-      // Validate each value now, against a scratch config, so a typo fails at
-      // parse time rather than mid-campaign.
-      for (const std::string& v : axis.values) {
-        testbed::ExperimentConfig scratch = spec.base;
-        testbed::apply_experiment_kv(scratch, key, v);
-      }
-      for (const CampaignSpec::Axis& existing : spec.axes) {
-        if (existing.key == key) {
-          throw std::runtime_error{"campaign: duplicate sweep axis '" + key + "'"};
-        }
-      }
-      spec.axes.push_back(std::move(axis));
+    // A '|' in the key always declares an axis: it zips the keys together,
+    // each comma-separated step a '|'-separated tuple with one value per key.
+    // (No ExperimentConfig value contains a comma or a '|': ranges use ':',
+    // chaos kinds '+', names are bare words — so both are unambiguous.)
+    if (key.find('|') == std::string::npos && value.find(',') == std::string::npos) {
+      testbed::apply_experiment_kv(spec.base, key, value);
       continue;
     }
-    testbed::apply_experiment_kv(spec.base, key, value);
+    const std::string where = "campaign line " + std::to_string(line_no) + ": ";
+    CampaignSpec::Axis axis;
+    for (const std::string_view k : split(key, '|')) {
+      const auto sweeps_k = [k](const CampaignSpec::Axis& a) {
+        return std::find(a.keys.begin(), a.keys.end(), k) != a.keys.end();
+      };
+      if (sweeps_k(axis) || std::any_of(spec.axes.begin(), spec.axes.end(), sweeps_k)) {
+        throw std::runtime_error{where + "duplicate sweep axis '" + std::string(k) + "'"};
+      }
+      axis.keys.emplace_back(k);
+    }
+    for (const std::string_view step : split(value, ',')) {
+      std::vector<std::string> tuple;
+      for (const std::string_view part : split(step, '|')) {
+        if (part.empty()) {
+          throw std::runtime_error{where + "empty sweep value for '" + key + "'"};
+        }
+        tuple.emplace_back(part);
+      }
+      if (tuple.size() != axis.keys.size()) {
+        throw std::runtime_error{where + "'" + key + "' wants " +
+                                 std::to_string(axis.keys.size()) +
+                                 " value(s) per step, got '" + std::string(step) + "'"};
+      }
+      // Validate the step now, against a scratch config, so a typo fails at
+      // parse time rather than mid-campaign.
+      testbed::ExperimentConfig scratch = spec.base;
+      for (std::size_t k = 0; k < tuple.size(); ++k) {
+        testbed::apply_experiment_kv(scratch, axis.keys[k], tuple[k]);
+      }
+      axis.values.push_back(std::move(tuple));
+    }
+    spec.axes.push_back(std::move(axis));
   }
   return spec;
 }

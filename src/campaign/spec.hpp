@@ -4,16 +4,18 @@
 // A CampaignSpec is a base configuration plus a parameter grid (one axis per
 // swept key, expanded as a cross product) and a seed list. It is the batch
 // twin of the paper's static experiment description (Appendix A.3): the file
-// format is the testbed's `key = value` syntax with two extensions —
-// comma-separated values turn a key into a sweep axis, and `seeds = 1..10`
-// declares the replication seeds. Figure 15's 60-cell sweep becomes:
+// format is the testbed's `key = value` syntax with three extensions —
+// comma-separated values turn a key into a sweep axis, `a | b = 1 | 2, 3 | 4`
+// zips several keys into one axis whose steps set them together, and
+// `seeds = 1..10` declares the replication seeds. Figure 15's 60-cell sweep,
+// with supervision tied to the interval and jitter to the producer interval,
+// becomes (examples/experiments/fig15_grid.campaign):
 //
-//   producer_interval = 100ms, 500ms, 1s, 5s, 10s, 30s
-//   conn_interval = 25ms, 50ms, 75ms, 100ms, 500ms
+//   conn_interval | supervision_timeout = 25ms | 2s, 500ms | 4s, ...
+//   producer_interval | producer_jitter = 100ms | 50ms, 1s | 500ms, ...
 //   seeds = 1..5
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -25,9 +27,12 @@
 namespace mgap::campaign {
 
 struct CampaignSpec {
+  /// One grid dimension. A plain axis has one key; a zip axis has several,
+  /// and each step assigns all of them at once.
   struct Axis {
-    std::string key;                  // an ExperimentConfig file key
-    std::vector<std::string> values;  // in sweep order, file-syntax values
+    std::vector<std::string> keys;  // ExperimentConfig file keys
+    /// One tuple per step, in sweep order: keys.size() file-syntax values.
+    std::vector<std::vector<std::string>> values;
   };
 
   std::string name{"campaign"};
@@ -37,10 +42,6 @@ struct CampaignSpec {
   std::vector<Axis> axes;
   /// Replication seeds; when empty the base config's single seed is used.
   std::vector<std::uint64_t> seeds;
-  /// Optional code-only hook applied to every expanded config after the axis
-  /// assignment (e.g. deriving the supervision timeout from the connection
-  /// interval, as the figure benches do). Must be deterministic.
-  std::function<void(testbed::ExperimentConfig&)> finalize;
 
   /// Number of distinct configurations (product of axis sizes, >= 1).
   [[nodiscard]] std::size_t grid_size() const;
@@ -52,7 +53,8 @@ struct CampaignSpec {
 /// One point of the expanded grid (seed not yet applied).
 struct CellConfig {
   std::size_t config_index{0};
-  /// The axis assignment that produced this cell, in axis order.
+  /// The axis assignment that produced this cell, in axis order (a zip axis
+  /// contributes one pair per key).
   std::vector<std::pair<std::string, std::string>> assignment;
   testbed::ExperimentConfig config;
 
@@ -71,6 +73,8 @@ struct CellConfig {
 /// Parses a campaign description (see header comment for the format).
 /// Scalar keys configure the base; comma-separated keys become sweep axes in
 /// file order; `campaign = <name>` and `seeds = ...` are campaign-level.
+/// Throws std::runtime_error on a malformed value, a zip tuple whose size
+/// differs from its key count, or a key swept by more than one axis.
 [[nodiscard]] CampaignSpec parse_campaign_spec(std::string_view text);
 
 /// Loads and parses a campaign description file.

@@ -1,7 +1,6 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "ble/connection.hpp"
 #include "ble/controller.hpp"
@@ -93,17 +92,6 @@ double FaultInjector::windowed_link_per(NodeId a, NodeId b) const {
   return per;
 }
 
-void FaultInjector::trace(const InjectedFault& f, const char* phase) {
-  if (world_ == nullptr) return;
-  world_->trace_lazy(sim::TraceCat::kFault,
-                     f.event.node == kInvalidNode ? 0 : f.event.node, [&] {
-                       char msg[160];
-                       std::snprintf(msg, sizeof msg, "%s %s", phase,
-                                     f.event.str().c_str());
-                       return std::string{msg};
-                     });
-}
-
 void FaultInjector::record_fault(const InjectedFault& f, std::size_t index,
                                  bool begin) {
   if (world_ == nullptr) return;
@@ -124,7 +112,6 @@ void FaultInjector::record_fault(const InjectedFault& f, std::size_t index,
 void FaultInjector::begin_fault(std::size_t index) {
   InjectedFault& f = timeline_[index];
   const FaultEvent& ev = f.event;
-  trace(f, "begin");
   record_fault(f, index, true);
 
   switch (ev.kind) {
@@ -202,7 +189,6 @@ void FaultInjector::begin_fault(std::size_t index) {
 void FaultInjector::end_fault(std::size_t index) {
   InjectedFault& f = timeline_[index];
   const FaultEvent& ev = f.event;
-  trace(f, "end");
   record_fault(f, index, false);
 
   switch (ev.kind) {

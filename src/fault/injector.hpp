@@ -72,7 +72,6 @@ class FaultInjector {
   void end_fault(std::size_t index);
   void install_link_hook();
   [[nodiscard]] double windowed_link_per(NodeId a, NodeId b) const;
-  void trace(const InjectedFault& f, const char* phase);
   void record_fault(const InjectedFault& f, std::size_t index, bool begin);
 
   sim::Simulator& sim_;

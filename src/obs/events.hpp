@@ -9,8 +9,8 @@
 // `mgap_trace` CLI consume them to reproduce the paper's shading analysis
 // (section 6.1, Figure 11) from a trace instead of live counters.
 //
-// Events reuse sim::TraceCat as their subscribe category, so one mask governs
-// both the string Tracer and the binary Recorder.
+// Events reuse sim::TraceCat as their subscribe category, so the
+// `trace.categories` mask governs the Recorder.
 
 #include <cstdint>
 
@@ -131,7 +131,7 @@ enum class CoapPhase : std::uint16_t {
   kTimeout = 4,
 };
 
-/// Subscribe category of an event type (shared mask with sim::Tracer).
+/// Subscribe category of an event type.
 [[nodiscard]] constexpr sim::TraceCat category(EventType type) {
   switch (type) {
     case EventType::kConnOpen: return sim::TraceCat::kGap;

@@ -5,8 +5,8 @@
 //
 //   if (rec && rec->wants(EventType::kPduTx)) rec->record(event, payload);
 //
-// so a disabled recorder costs one pointer test. Events are filtered by the
-// same category mask as sim::Tracer, streamed into a `.mgt` file, and —
+// so a disabled recorder costs one pointer test. Events are filtered by a
+// sim::TraceCat category mask, streamed into a `.mgt` file, and —
 // for packet-bearing events — additionally exported as PCAPNG so the capture
 // opens in Wireshark. Files are opened with open_trace_file(): directories
 // and unwritable paths are rejected with a clear error instead of silently

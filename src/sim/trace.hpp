@@ -1,20 +1,14 @@
 #pragma once
-// Event tracing, mirroring the paper's per-node STDIO event dump (section 4.2):
-// compact, ordered records that downstream analysis consumes. Sinks subscribe
-// by category; the default build keeps tracing disabled for speed.
-//
-// The string-record Tracer below is the human-readable channel (tests, ad-hoc
-// debugging). The hot paths additionally emit *typed* binary events through
-// obs::Recorder (src/obs/), which shares this header's category vocabulary.
+// Trace categories, mirroring the paper's per-node STDIO event dump
+// (section 4.2): sinks subscribe by category. The typed binary events of
+// obs::Recorder (src/obs/) carry one of these categories, and the
+// `trace.categories` config key selects them with the mask functions below.
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "sim/time.hpp"
 
 namespace mgap::sim {
 
@@ -47,43 +41,5 @@ inline constexpr std::uint32_t kAllTraceCats = (1u << kTraceCatCount) - 1;
 
 /// Renders a mask back to the comma-separated list form ("all" when full).
 [[nodiscard]] std::string render_trace_cat_mask(std::uint32_t mask);
-
-struct TraceRecord {
-  TimePoint at;
-  TraceCat cat;
-  std::uint32_t node;
-  std::string msg;
-};
-
-class Tracer {
- public:
-  using Sink = std::function<void(const TraceRecord&)>;
-
-  void set_sink(Sink sink) { sink_ = std::move(sink); }
-  void enable(bool on) { enabled_ = on; }
-  /// Sinks subscribe by category: records outside `mask` are dropped before
-  /// any formatting work happens (see World::trace's lazy overload).
-  void set_categories(std::uint32_t mask) { mask_ = mask; }
-  [[nodiscard]] std::uint32_t categories() const { return mask_; }
-
-  [[nodiscard]] bool enabled() const { return enabled_ && sink_ != nullptr; }
-  [[nodiscard]] bool enabled(TraceCat cat) const {
-    return enabled() && (mask_ & trace_cat_bit(cat)) != 0;
-  }
-
-  void emit(TimePoint at, TraceCat cat, std::uint32_t node, std::string msg) {
-    if (enabled(cat)) sink_(TraceRecord{at, cat, node, std::move(msg)});
-  }
-
-  /// Convenience sink that stores records in memory (used by tests).
-  static Sink collect_into(std::vector<TraceRecord>& out) {
-    return [&out](const TraceRecord& r) { out.push_back(r); };
-  }
-
- private:
-  Sink sink_;
-  std::uint32_t mask_{kAllTraceCats};
-  bool enabled_{false};
-};
 
 }  // namespace mgap::sim

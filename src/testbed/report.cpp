@@ -15,15 +15,6 @@ void print_rtt_quantiles(const char* label, const RttHistogram& hist) {
               hist.max_seen().to_ms_f());
 }
 
-void print_rtt_cdf(const char* label, const RttHistogram& hist,
-                   const std::vector<sim::Duration>& probes) {
-  std::printf("%-24s", label);
-  for (const sim::Duration d : probes) {
-    std::printf(" %5.2fs:%5.3f", d.to_sec_f(), hist.fraction_below(d));
-  }
-  std::printf("\n");
-}
-
 void print_pdr_timeline(const char* label, const Metrics& metrics, std::size_t stride) {
   const auto timeline = metrics.timeline();
   std::printf("%s (bucket %llds, PDR per bucket):\n", label,

@@ -1,23 +1,17 @@
 #pragma once
 // Console reporting helpers shared by the bench binaries: fixed-width tables,
-// CDF listings, and sparkline-style timelines that mirror the paper's plots.
+// RTT quantiles, and sparkline-style timelines that mirror the paper's plots.
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "testbed/experiment.hpp"
 #include "testbed/metrics.hpp"
 
 namespace mgap::testbed {
 
-/// Prints "label: p10 p25 p50 p75 p90 p99 max" quantiles of an RTT histogram.
+/// Prints "label: n p10 p50 p90 p99 max" quantiles of an RTT histogram.
 void print_rtt_quantiles(const char* label, const RttHistogram& hist);
-
-/// Prints the CDF at the given probe points, e.g. for comparison with a
-/// figure's x-axis grid.
-void print_rtt_cdf(const char* label, const RttHistogram& hist,
-                   const std::vector<sim::Duration>& probes);
 
 /// Prints an aggregate PDR-vs-time line ("timeline") with one column per
 /// `stride` buckets.

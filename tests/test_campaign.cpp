@@ -50,8 +50,8 @@ seeds = 1..3
   EXPECT_EQ(spec.base.payload_len, 16u);
   EXPECT_EQ(spec.base.duration, sim::Duration::sec(30));
   ASSERT_EQ(spec.axes.size(), 2u);
-  EXPECT_EQ(spec.axes[0].key, "conn_interval");
-  EXPECT_EQ(spec.axes[1].values, (std::vector<std::string>{"1s", "5s"}));
+  EXPECT_EQ(spec.axes[0].keys, (std::vector<std::string>{"conn_interval"}));
+  EXPECT_EQ(spec.axes[1].values, (std::vector<std::vector<std::string>>{{"1s"}, {"5s"}}));
   EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(spec.grid_size(), 4u);
   EXPECT_EQ(spec.cell_count(), 12u);
@@ -67,6 +67,21 @@ TEST(SpecParse, RejectsBadInput) {
                                    "conn_interval = 75ms, 100ms"),
                std::runtime_error);
   EXPECT_THROW(parse_campaign_spec("just a line"), std::runtime_error);
+  // Zip axes: one value per key in every step, valid values, each key swept
+  // by at most one axis.
+  EXPECT_THROW(parse_campaign_spec("conn_interval | supervision_timeout = 25ms | 2s, 50ms"),
+               std::runtime_error);
+  EXPECT_THROW(parse_campaign_spec("conn_interval | supervision_timeout = 25ms | 2s | 3s"),
+               std::runtime_error);
+  EXPECT_THROW(parse_campaign_spec("conn_interval | supervision_timeout = 25ms | x, 50ms | 2s"),
+               std::runtime_error);
+  EXPECT_THROW(parse_campaign_spec("conn_interval | supervision_timeout = 25ms | , 50ms | 2s"),
+               std::runtime_error);
+  EXPECT_THROW(parse_campaign_spec("conn_interval | conn_interval = 25ms | 25ms, 50ms | 50ms"),
+               std::runtime_error);
+  EXPECT_THROW(parse_campaign_spec("supervision_timeout = 2s, 4s\n"
+                                   "conn_interval | supervision_timeout = 25ms | 2s, 50ms | 4s"),
+               std::runtime_error);
 }
 
 TEST(SpecParse, EmptySeedsFallBackToBaseSeed) {
@@ -77,8 +92,8 @@ TEST(SpecParse, EmptySeedsFallBackToBaseSeed) {
 
 TEST(GridExpansion, RowMajorCrossProduct) {
   CampaignSpec spec;
-  spec.axes.push_back({"conn_interval", {"25ms", "75ms"}});
-  spec.axes.push_back({"producer_interval", {"1s", "5s", "10s"}});
+  spec.axes.push_back({{"conn_interval"}, {{"25ms"}, {"75ms"}}});
+  spec.axes.push_back({{"producer_interval"}, {{"1s"}, {"5s"}, {"10s"}}});
   const auto grid = expand_grid(spec);
   ASSERT_EQ(grid.size(), 6u);
   // First axis slowest: (25,1s) (25,5s) (25,10s) (75,1s) ...
@@ -90,15 +105,24 @@ TEST(GridExpansion, RowMajorCrossProduct) {
   for (std::size_t i = 0; i < grid.size(); ++i) EXPECT_EQ(grid[i].config_index, i);
 }
 
-TEST(GridExpansion, FinalizeHookRuns) {
-  CampaignSpec spec;
-  spec.axes.push_back({"conn_interval", {"100ms", "500ms"}});
-  spec.finalize = [](testbed::ExperimentConfig& cfg) {
-    cfg.supervision_timeout = cfg.policy.target() * 8;
-  };
+TEST(GridExpansion, ZipAxisStepsKeysTogether) {
+  // Coupled values (supervision tied to the interval) are one zip axis; it
+  // crosses with the other axes like a single-key axis and labels every key.
+  const CampaignSpec spec = parse_campaign_spec(
+      "conn_interval | supervision_timeout = 100ms | 800ms, 500ms | 4s\n"
+      "producer_interval = 1s, 5s\n");
+  ASSERT_EQ(spec.axes.size(), 2u);
+  EXPECT_EQ(spec.axes[0].keys,
+            (std::vector<std::string>{"conn_interval", "supervision_timeout"}));
   const auto grid = expand_grid(spec);
+  ASSERT_EQ(grid.size(), 4u);
   EXPECT_EQ(grid[0].config.supervision_timeout, sim::Duration::ms(800));
-  EXPECT_EQ(grid[1].config.supervision_timeout, sim::Duration::sec(4));
+  EXPECT_EQ(grid[1].config.supervision_timeout, sim::Duration::ms(800));
+  EXPECT_EQ(grid[2].config.supervision_timeout, sim::Duration::sec(4));
+  EXPECT_EQ(grid[2].config.policy.target(), sim::Duration::ms(500));
+  EXPECT_EQ(grid[3].config.producer_interval, sim::Duration::sec(5));
+  EXPECT_EQ(grid[3].label(),
+            "conn_interval=500ms supervision_timeout=4s producer_interval=5s");
 }
 
 TEST(Aggregate, TCriticalValues) {
@@ -212,7 +236,7 @@ TEST(Runner, CellsMatchStandaloneExperiments) {
 
 // The thread-safety audit: two Experiment instances on different threads
 // share no mutable state (per-instance Simulator, RNG streams, Metrics,
-// worlds; no globals; the Tracer sink is opt-in and not installed), so
+// worlds, trace recorder; no globals), so
 // concurrent runs must reproduce serial runs bit-exactly. CI additionally
 // builds this test under -fsanitize=thread.
 TEST(ThreadSafety, ConcurrentExperimentsMatchSerialRuns) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "campaign/spec.hpp"
 #include "testbed/config_file.hpp"
@@ -266,22 +269,64 @@ TEST(ConfigFile, FlowKeysRenderAndParseBack) {
   EXPECT_EQ(defaults.find("cc."), std::string::npos);
 }
 
+const std::filesystem::path kExperimentsDir =
+    std::filesystem::path{MINDGAP_SOURCE_DIR} / "examples" / "experiments";
+
+std::vector<campaign::CellConfig> shipped_grid(const char* name) {
+  return campaign::expand_grid(
+      campaign::load_campaign_spec((kExperimentsDir / name).string()));
+}
+
 TEST(ConfigFile, ShippedSampleConfigsParse) {
-  for (const char* path :
-       {"examples/experiments/fig7_tree.conf", "examples/experiments/fig10_802154.conf",
-        "examples/experiments/fig13_random_tree.conf",
-        "examples/experiments/highload_afh.conf"}) {
-    // The test runs from the build tree; try both relative locations.
-    try {
-      (void)load_experiment_config(std::string("../") + path);
-    } catch (const std::runtime_error&) {
-      try {
-        (void)load_experiment_config(path);
-      } catch (const std::runtime_error& e) {
-        // File not reachable from this working directory: skip quietly, the
-        // parse paths themselves are covered above.
-        GTEST_SKIP() << e.what();
-      }
+  ASSERT_TRUE(std::filesystem::is_directory(kExperimentsDir)) << kExperimentsDir;
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator{kExperimentsDir}) {
+    files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const std::filesystem::path& path : files) {
+    SCOPED_TRACE(path.string());
+    if (path.extension() == ".conf") {
+      EXPECT_NO_THROW((void)load_experiment_config(path.string()));
+    } else if (path.extension() == ".campaign") {
+      EXPECT_NO_THROW(
+          (void)campaign::expand_grid(campaign::load_campaign_spec(path.string())));
+    }
+  }
+  // The per-figure definitions EXPERIMENTS.md runs.
+  for (const char* name :
+       {"fig7_tree.conf", "fig7_line.conf", "fig08a_interval.campaign",
+        "fig08b_producer.campaign", "fig10_802154.conf", "fig10_ble25.conf",
+        "fig13_24h.campaign", "fig14_losses.campaign", "fig15_grid.campaign",
+        "abl_coap_retransmission.campaign"}) {
+    EXPECT_TRUE(std::filesystem::is_regular_file(kExperimentsDir / name)) << name;
+  }
+}
+
+// The figure specs spell out the values their sweeps couple: supervision
+// max(2s, 6 x interval) or 2 s / 4 s by interval class, jitter half the
+// producer interval.
+TEST(ConfigFile, ShippedFigureSpecsKeepCoupledValues) {
+  for (const char* name : {"fig08a_interval.campaign", "fig08b_producer.campaign",
+                           "abl_coap_retransmission.campaign"}) {
+    for (const campaign::CellConfig& cell : shipped_grid(name)) {
+      EXPECT_EQ(cell.config.supervision_timeout,
+                sim::max(sim::Duration::sec(2), cell.config.policy.target() * 6))
+          << name << ": " << cell.label();
+    }
+  }
+  for (const char* name : {"fig14_losses.campaign", "fig15_grid.campaign"}) {
+    for (const campaign::CellConfig& cell : shipped_grid(name)) {
+      EXPECT_EQ(cell.config.supervision_timeout,
+                cell.config.policy.target() >= sim::Duration::ms(400) ? sim::Duration::sec(4)
+                                                                      : sim::Duration::sec(2))
+          << name << ": " << cell.label();
+    }
+  }
+  for (const char* name : {"fig08b_producer.campaign", "fig15_grid.campaign"}) {
+    for (const campaign::CellConfig& cell : shipped_grid(name)) {
+      EXPECT_EQ(cell.config.producer_jitter, cell.config.producer_interval / 2)
+          << name << ": " << cell.label();
     }
   }
 }

@@ -1,14 +1,16 @@
-// Tests for the smaller platform extensions: the LE 2M PHY, event tracing,
+// Tests for the smaller platform extensions: the LE 2M PHY, typed event tracing,
 // and the interplay of extensions with the core experiment machinery.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ble/world.hpp"
 #include "core/nimble_netif.hpp"
 #include "core/statconn.hpp"
+#include "obs/recorder.hpp"
 #include "phy/ble_phy.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace mgap {
 namespace {
@@ -70,12 +72,10 @@ TEST(Phy2M, ConnectionCarriesMoreDataPerEvent) {
 
 TEST(Tracing, EmitsGapAndLinkLayerRecords) {
   sim::Simulator simu{5};
+  obs::Recorder recorder;
+  recorder.collect(true);
   ble::BleWorld world{simu, phy::ChannelModel{0.0}};
-  sim::Tracer tracer;
-  std::vector<sim::TraceRecord> records;
-  tracer.set_sink(sim::Tracer::collect_into(records));
-  tracer.enable(true);
-  world.set_tracer(&tracer);
+  world.set_recorder(&recorder);
 
   ble::Controller& a = world.add_node(1, 0.0);
   ble::Controller& b = world.add_node(2, 0.0);
@@ -85,28 +85,20 @@ TEST(Tracing, EmitsGapAndLinkLayerRecords) {
   simu.run_until(sim::TimePoint::origin() + sim::Duration::sec(1));
   c.close();
 
-  ASSERT_GE(records.size(), 2u);
-  EXPECT_EQ(records.front().cat, sim::TraceCat::kGap);
-  EXPECT_NE(records.front().msg.find("open"), std::string::npos);
-  EXPECT_EQ(records.back().cat, sim::TraceCat::kLinkLayer);
-  EXPECT_NE(records.back().msg.find("closed"), std::string::npos);
-  EXPECT_NE(records.back().msg.find("local"), std::string::npos);
-}
-
-TEST(Tracing, DisabledTracerCostsNothing) {
-  sim::Simulator simu{5};
-  ble::BleWorld world{simu, phy::ChannelModel{0.0}};
-  sim::Tracer tracer;  // no sink, disabled
-  world.set_tracer(&tracer);
-  EXPECT_FALSE(world.tracing());
-  // And a null tracer is also fine.
-  world.set_tracer(nullptr);
-  ble::Controller& a = world.add_node(1, 0.0);
-  ble::Controller& b = world.add_node(2, 0.0);
-  world.open_connection(a, b, ble::ConnParams{}, sim::TimePoint::origin() +
-                                                     sim::Duration::ms(10));
-  simu.run_until(sim::TimePoint::origin() + sim::Duration::sec(1));
-  SUCCEED();
+  const std::vector<obs::Event>& events = recorder.collected();
+  const auto open = std::find_if(events.begin(), events.end(), [](const obs::Event& e) {
+    return e.type == obs::EventType::kConnOpen;
+  });
+  ASSERT_NE(open, events.end());
+  EXPECT_EQ(open->node, 1u);
+  EXPECT_EQ(open->id, c.id());
+  EXPECT_EQ(open->a, 2u);
+  const auto close = std::find_if(open, events.end(), [](const obs::Event& e) {
+    return e.type == obs::EventType::kConnClose;
+  });
+  ASSERT_NE(close, events.end());
+  EXPECT_EQ(close->id, c.id());
+  EXPECT_EQ(close->flags, static_cast<std::uint16_t>(ble::DisconnectReason::kLocalClose));
 }
 
 TEST(StatconnPhy, PropagatesPhyMode) {

@@ -373,7 +373,7 @@ TEST(Analyzer, OwnerNames) {
   EXPECT_EQ(owner_name(kAdvOwnerBit | 12), "adv/scan(node 12)");
 }
 
-// --- category masks (sim::Tracer + obs::Recorder share the vocabulary) ------
+// --- category masks (obs::Recorder and trace.categories) --------------------
 
 TEST(TraceCategories, ParseRenderRoundTrip) {
   const std::uint32_t mask = sim::parse_trace_cat_mask("ll,net");
@@ -383,21 +383,6 @@ TEST(TraceCategories, ParseRenderRoundTrip) {
   EXPECT_EQ(sim::parse_trace_cat_mask("all"), sim::kAllTraceCats);
   EXPECT_EQ(sim::render_trace_cat_mask(sim::kAllTraceCats), "all");
   EXPECT_THROW((void)sim::parse_trace_cat_mask("ll,bogus"), std::runtime_error);
-}
-
-TEST(TraceCategories, TracerFiltersByMask) {
-  sim::Tracer tracer;
-  std::vector<sim::TraceRecord> got;
-  tracer.set_sink(sim::Tracer::collect_into(got));
-  tracer.enable(true);
-  tracer.set_categories(sim::trace_cat_bit(sim::TraceCat::kApp));
-
-  EXPECT_TRUE(tracer.enabled(sim::TraceCat::kApp));
-  EXPECT_FALSE(tracer.enabled(sim::TraceCat::kLinkLayer));
-  tracer.emit(sim::TimePoint::from_ns(1), sim::TraceCat::kLinkLayer, 1, "drop me");
-  tracer.emit(sim::TimePoint::from_ns(2), sim::TraceCat::kApp, 1, "keep me");
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].msg, "keep me");
 }
 
 TEST(Recorder, CategoryMaskGatesWants) {
