@@ -34,6 +34,13 @@ std::vector<std::uint8_t> ChannelMap::used_channels() const {
   return out;
 }
 
+std::uint8_t ChannelMap::nth_used(unsigned k) const {
+  assert(k < used_count());
+  std::uint64_t bits = bits_;
+  for (unsigned i = 0; i < k; ++i) bits &= bits - 1;  // drop the lowest set bit
+  return static_cast<std::uint8_t>(std::countr_zero(bits));
+}
+
 Csa1::Csa1(std::uint8_t hop_increment) : hop_{hop_increment} {
   if (hop_ < 5 || hop_ > 16) throw std::invalid_argument{"CSA#1 hop must be in [5,16]"};
 }
@@ -42,10 +49,7 @@ std::uint8_t Csa1::next(const ChannelMap& map) {
   last_unmapped_ = static_cast<std::uint8_t>((last_unmapped_ + hop_) % 37);
   if (map.is_used(last_unmapped_)) return last_unmapped_;
   // Remap: index into the table of used channels.
-  const auto used = map.used_channels();
-  assert(!used.empty());
-  const auto idx = static_cast<std::size_t>(last_unmapped_) % used.size();
-  return used[idx];
+  return map.nth_used(last_unmapped_ % map.used_count());
 }
 
 namespace {
@@ -85,11 +89,7 @@ std::uint8_t Csa2::channel(std::uint16_t event_counter, const ChannelMap& map) c
   const auto unmapped = static_cast<std::uint8_t>(prn_e % 37);
   if (map.is_used(unmapped)) return unmapped;
 
-  const auto used = map.used_channels();
-  assert(!used.empty());
-  const auto remap_idx = static_cast<std::size_t>(
-      (static_cast<std::uint32_t>(used.size()) * prn_e) >> 16);
-  return used[remap_idx];
+  return map.nth_used((map.used_count() * prn_e) >> 16);
 }
 
 ChannelSelection::ChannelSelection(Csa csa, std::uint32_t access_address,

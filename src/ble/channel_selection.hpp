@@ -24,6 +24,8 @@ class ChannelMap {
   [[nodiscard]] unsigned used_count() const;
   /// Used channels in ascending order (the spec's remapping table).
   [[nodiscard]] std::vector<std::uint8_t> used_channels() const;
+  /// used_channels()[k] without building the table; k < used_count().
+  [[nodiscard]] std::uint8_t nth_used(unsigned k) const;
   [[nodiscard]] std::uint64_t bits() const { return bits_; }
 
   friend bool operator==(const ChannelMap&, const ChannelMap&) = default;

@@ -10,10 +10,10 @@ namespace mgap::ble {
 
 Controller::Controller(sim::Simulator& sim, BleWorld& world, NodeId id,
                        sim::SleepClock clock, ControllerConfig config)
-    : sim_{sim},
-      world_{world},
+    : clock_{clock},
       id_{id},
-      clock_{clock},
+      sim_{sim},
+      world_{world},
       config_{std::move(config)},
       rng_{sim.make_rng()} {}
 

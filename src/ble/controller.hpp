@@ -58,7 +58,7 @@ struct RadioActivity {
   sim::Duration scan_time{};         // accumulated listening time
 };
 
-class Controller {
+class alignas(64) Controller {
  public:
   struct HostCallbacks {
     std::function<void(Connection&)> on_open;
@@ -158,16 +158,20 @@ class Controller {
   // ids start at 1, so reserve the top bit for GAP activities.
   [[nodiscard]] std::uint64_t adv_owner() const { return (1ULL << 63) | id_; }
 
+  // Hot first: a connection event reads the clock, the radio state, the
+  // node id, the activity counters and the claim table of both endpoints.
+  sim::SleepClock clock_;
+  bool radio_on_{true};
+  NodeId id_;
+  RadioActivity activity_;
+  RadioScheduler sched_;
+
   sim::Simulator& sim_;
   BleWorld& world_;
-  NodeId id_;
-  sim::SleepClock clock_;
   ControllerConfig config_;
-  RadioScheduler sched_;
   sim::Rng rng_;
   HostCallbacks host_;
 
-  bool radio_on_{true};
   bool advertising_{false};
   std::uint64_t adv_session_{0};
   std::uint16_t adv_data_{0};
@@ -183,7 +187,6 @@ class Controller {
 
   std::size_t pool_used_{0};
   std::uint64_t pool_denied_{0};
-  RadioActivity activity_;
   std::map<NodeId, Connection*> links_;  // open connections by peer
 };
 

@@ -48,10 +48,9 @@ Connection& BleWorld::open_connection(Controller& coord, Controller& sub,
   if (stats.events_ok + stats.events_missed > 0 || stats.conn_losses > 0) {
     ++stats.reconnects;
   }
-  ConnHot& hot = conn_hot_.emplace_back();
   connections_.push_back(arena_.make<Connection>(
       sim_, *this, id, coord, sub, params, first_anchor, access_address, default_chmap_,
-      stats, hot, coord.config().conn, sim_.make_rng()));
+      stats, coord.config().conn, sim_.make_rng()));
   Connection& conn = *connections_.back();
   if (recorder_ != nullptr && recorder_->wants(obs::EventType::kConnOpen)) {
     obs::Event e;

@@ -5,7 +5,6 @@
 // events to interested initiators, and hands out per-link statistics.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <utility>
@@ -155,9 +154,6 @@ class BleWorld {
   std::uint64_t adv_full_scans_{0};
   std::vector<Connection*> connections_;
   std::map<std::pair<NodeId, NodeId>, LinkStats*> link_stats_;
-  /// Hot per-event state, one entry per connection ever created, pooled in
-  /// creation order (deque chunks are contiguous and addresses are stable).
-  std::deque<ConnHot> conn_hot_;
   ConnId next_conn_id_{1};
   sim::Rng rng_;
   /// Owns every controller, connection and link-stats record. Declared last:

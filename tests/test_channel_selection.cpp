@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <set>
+#include <vector>
 
 #include "ble/channel_selection.hpp"
+#include "sim/rng.hpp"
 
 namespace mgap::ble {
 namespace {
@@ -45,6 +48,29 @@ TEST(ChannelMap, AdvChannelsNeverUsed) {
   EXPECT_FALSE(map.is_used(37));
   EXPECT_FALSE(map.is_used(38));
   EXPECT_FALSE(map.is_used(39));
+}
+
+TEST(ChannelMap, NthUsedMatchesUsedChannels) {
+  // The allocation-free remap lookup against the spec's remapping table, over
+  // maps from dense (one random word) to sparse (AND of four words).
+  sim::Rng rng{37, 0};
+  int maps = 0;
+  while (maps < 1000) {
+    std::uint64_t bits = rng.next_u64();
+    for (int i = 0; i < maps % 4; ++i) bits &= rng.next_u64();
+    bits &= (1ULL << 37) - 1;
+    if (std::popcount(bits) < 2) continue;
+    ChannelMap map = ChannelMap::all();
+    for (std::uint8_t ch = 0; ch < 37; ++ch) {
+      if (((bits >> ch) & 1U) == 0) map.exclude(ch);
+    }
+    ASSERT_EQ(map.bits(), bits);
+    const std::vector<std::uint8_t> used = map.used_channels();
+    for (unsigned k = 0; k < used.size(); ++k) {
+      ASSERT_EQ(map.nth_used(k), used[k]) << "map " << bits << " k " << k;
+    }
+    ++maps;
+  }
 }
 
 TEST(Csa1, HopIncrementValidated) {
