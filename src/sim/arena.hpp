@@ -12,15 +12,17 @@
 // dependent objects (a connection referencing its controllers) die before
 // their dependencies, exactly like the unique_ptr vectors they replace.
 //
-// Mode::kHeap routes every make<T>() through operator new instead — same
-// ownership semantics, no bump chunks. It exists as the A/B control: a
-// simulation must produce bit-identical results under either mode (pinned by
-// test_arena), proving no behavior leaked into allocation layout.
+// Mode::kHeap routes every make<T>() through a plain `new T` instead (so an
+// over-aligned T gets the aligned operator new) — same ownership semantics,
+// no bump chunks. It exists as the A/B control: a simulation must produce
+// bit-identical results under either mode (pinned by test_arena), proving no
+// behavior leaked into allocation layout.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -45,12 +47,15 @@ class Arena {
   /// Constructs a T inside the arena. The pointer stays valid until reset().
   template <typename T, typename... Args>
   T* make(Args&&... args) {
-    void* mem = allocate(sizeof(T), alignof(T));
-    T* obj = new (mem) T(std::forward<Args>(args)...);
-    if constexpr (!std::is_trivially_destructible_v<T>) {
-      finalizers_.push_back({&destroy_thunk<T>, obj});
-    } else if (mode_ == Mode::kHeap) {
-      finalizers_.push_back({nullptr, obj});  // still needs operator delete
+    T* obj;
+    if (mode_ == Mode::kHeap) {
+      obj = new T(std::forward<Args>(args)...);  // aligned new for over-aligned T
+      finalizers_.push_back({&delete_thunk<T>, obj});
+    } else {
+      obj = new (allocate(sizeof(T), alignof(T))) T(std::forward<Args>(args)...);
+      if constexpr (!std::is_trivially_destructible_v<T>) {
+        finalizers_.push_back({&destroy_thunk<T>, obj});
+      }
     }
     ++objects_;
     return obj;
@@ -60,8 +65,7 @@ class Arena {
   /// memory. The arena is reusable afterwards.
   void reset() {
     for (auto it = finalizers_.rbegin(); it != finalizers_.rend(); ++it) {
-      if (it->destroy != nullptr) it->destroy(it->obj);
-      if (mode_ == Mode::kHeap) ::operator delete(it->obj);
+      it->destroy(it->obj);
     }
     finalizers_.clear();
     chunks_.clear();
@@ -82,7 +86,7 @@ class Arena {
 
  private:
   struct Finalizer {
-    void (*destroy)(void*);  // null: trivially destructible (heap-mode free)
+    void (*destroy)(void*);
     void* obj;
   };
 
@@ -90,11 +94,12 @@ class Arena {
   static void destroy_thunk(void* obj) {
     static_cast<T*>(obj)->~T();
   }
+  template <typename T>
+  static void delete_thunk(void* obj) {
+    delete static_cast<T*>(obj);
+  }
 
   void* allocate(std::size_t size, std::size_t align) {
-    if (mode_ == Mode::kHeap) {
-      return ::operator new(size);  // finalizer list frees it
-    }
     auto addr = reinterpret_cast<std::uintptr_t>(bump_);
     const std::uintptr_t aligned = (addr + align - 1) & ~(align - 1);
     if (bump_ == nullptr ||

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
+#include <cstdint>
 #include <new>
 #include <string>
 #include <vector>
@@ -48,6 +50,33 @@ TEST(Arena, HeapModeKeepsTheSameSemantics) {
   // Reusable after reset.
   arena.make<DtorProbe>(&order, 9);
   EXPECT_EQ(arena.objects(), 1u);
+}
+
+struct alignas(64) LineProbe {
+  std::array<std::byte, 80> bytes{};
+};
+struct alignas(64) LineDtorProbe {
+  std::vector<int>* order;
+  int id;
+  ~LineDtorProbe() { order->push_back(id); }
+};
+
+TEST(Arena, OverAlignedObjectsAreAlignedInBothModes) {
+  for (const auto mode : {sim::Arena::Mode::kBump, sim::Arena::Mode::kHeap}) {
+    std::vector<int> order;
+    {
+      sim::Arena arena{mode};
+      for (int i = 0; i < 16; ++i) {
+        arena.make<char>('x');  // knock the next address off the line boundary
+        const auto* line = arena.make<LineProbe>();
+        const auto* dtor = arena.make<LineDtorProbe>(&order, i);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(line) % 64, 0u) << i;
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(dtor) % 64, 0u) << i;
+      }
+    }
+    EXPECT_EQ(order.size(), 16u);
+    EXPECT_EQ(order.front(), 15);
+  }
 }
 
 TEST(Arena, BumpAllocationIsContiguousWithinAChunk) {
