@@ -11,12 +11,12 @@
 // every pop/cancel, so its ns/op grew linearly with the live-event count
 // (quadratic total time) and a 24 h campaign spent most of its wall clock
 // inside the queue. The campaign suite times a fig15-style multi-seed sweep
-// end-to-end and fingerprints its JSON output (FNV-1a) so CI catches both
-// wall-clock regressions and cross-build nondeterminism.
+// end-to-end and fingerprints its JSON and CSV output (FNV-1a) so CI catches
+// wall-clock regressions, cross-build nondeterminism and writer changes.
 //
 // CI compares the committed baselines against a fresh run and fails when the
 // 100k-event case regresses more than 2x (scaling-normalized, so a slower
-// runner does not false-positive) or the campaign fingerprint moves.
+// runner does not false-positive) or either campaign fingerprint moves.
 
 #include <chrono>
 #include <cinttypes>
@@ -188,6 +188,7 @@ int run_campaign(const std::string& out_dir, bool quick) {
   // Without code_version: the committed fingerprint must not move per commit.
   const std::string result_json = campaign::to_json(result, false);
   const std::uint64_t fingerprint = fnv1a(result_json);
+  const std::uint64_t csv_fingerprint = fnv1a(campaign::to_csv(result, false));
   const double sim_seconds = static_cast<double>(result.cells.size()) *
                              static_cast<double>(spec.base.duration.count_ns()) * 1e-9;
   char buf[512];
@@ -198,10 +199,11 @@ int run_campaign(const std::string& out_dir, bool quick) {
                 "  \"sim_seconds\": %.0f,\n"
                 "  \"wall_seconds\": %.9f,\n"
                 "  \"sim_per_wall\": %.1f,\n"
-                "  \"result_json_fnv1a\": \"%016" PRIx64 "\"\n"
+                "  \"result_json_fnv1a\": \"%016" PRIx64 "\",\n"
+                "  \"result_csv_fnv1a\": \"%016" PRIx64 "\"\n"
                 "}\n",
                 result.cells.size(), sim_seconds, wall,
-                wall > 0 ? sim_seconds / wall : 0.0, fingerprint);
+                wall > 0 ? sim_seconds / wall : 0.0, fingerprint, csv_fingerprint);
   campaign::write_file(out_dir + "/BENCH_campaign.json", std::string{buf});
   std::printf("campaign: %zu cells, %.0f sim-s in %.2f wall-s (%.0fx real time), "
               "fingerprint %016" PRIx64 "\n",

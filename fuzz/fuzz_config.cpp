@@ -1,8 +1,8 @@
 // Fuzz target: the experiment-description and campaign-spec parsers — the
 // only components that consume user-authored files. Both must either return
-// a config or throw their documented std::runtime_error; on success,
-// render_experiment_config must produce text the parser accepts again
-// (config files survive a save/load cycle).
+// a config or throw their documented std::runtime_error; on success, the
+// render must parse back to a config that renders identically
+// (render(parse(render(c))) == render(c): a save/load cycle loses nothing).
 
 #include <cstdint>
 #include <cstdlib>
@@ -24,11 +24,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   }
   if (cfg.has_value()) {
     const std::string rendered = mgap::testbed::render_experiment_config(*cfg);
+    std::string again;
     try {
-      (void)mgap::testbed::parse_experiment_config(rendered);
+      again = mgap::testbed::render_experiment_config(
+          mgap::testbed::parse_experiment_config(rendered));
     } catch (const std::runtime_error&) {
       std::abort();  // the renderer emitted something the parser rejects
     }
+    if (again != rendered) std::abort();  // the save/load cycle changed the config
   }
 
   try {

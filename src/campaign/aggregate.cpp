@@ -1,8 +1,86 @@
 #include "campaign/aggregate.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace mgap::campaign {
+
+namespace {
+
+using S = testbed::ExperimentSummary;
+
+template <auto M>
+using FieldType = std::remove_cvref_t<decltype(std::declval<S>().*M)>;
+
+/// Counts stay far below 2^53, so integer fields read exactly as doubles.
+template <auto M>
+double read(const S& s) {
+  if constexpr (std::is_same_v<FieldType<M>, sim::Duration>) {
+    return (s.*M).to_ms_f();
+  } else {
+    return static_cast<double>(s.*M);
+  }
+}
+
+template <auto M>
+constexpr SummaryColumn column(std::string_view name, bool aggregated) {
+  return {name, read<M>, std::is_integral_v<FieldType<M>>, aggregated};
+}
+
+constexpr bool kAggregated = true;
+constexpr bool kPerCell = false;  // per-cell JSON only
+
+constexpr SummaryColumn kColumns[] = {
+    column<&S::topo_mean_hops>("topo_mean_hops", kAggregated),
+    column<&S::topo_max_hops>("topo_max_hops", kAggregated),
+    column<&S::sent>("sent", kAggregated),
+    column<&S::acked>("acked", kPerCell),
+    column<&S::coap_pdr>("coap_pdr", kAggregated),
+    column<&S::ll_pdr>("ll_pdr", kAggregated),
+    column<&S::conn_losses>("conn_losses", kAggregated),
+    column<&S::reconnects>("reconnects", kAggregated),
+    column<&S::pktbuf_drops>("pktbuf_drops", kAggregated),
+    column<&S::link_down_drops>("link_down_drops", kPerCell),
+    column<&S::backpressure_drops>("backpressure_drops", kAggregated),
+    column<&S::breaker_drops>("breaker_drops", kAggregated),
+    column<&S::coap_retransmissions>("coap_retransmissions", kPerCell),
+    column<&S::coap_timeouts>("coap_timeouts", kPerCell),
+    column<&S::rtt_p50>("rtt_p50_ms", kAggregated),
+    column<&S::rtt_p99>("rtt_p99_ms", kAggregated),
+    column<&S::rtt_max>("rtt_max_ms", kPerCell),
+    column<&S::faults_injected>("faults_injected", kPerCell),
+    column<&S::losses_injected>("losses_injected", kAggregated),
+    column<&S::losses_emergent>("losses_emergent", kPerCell),
+    column<&S::link_downs>("link_downs", kPerCell),
+    column<&S::link_ups>("link_ups", kPerCell),
+    column<&S::reconnect_p50>("reconnect_p50_ms", kAggregated),
+    column<&S::reconnect_max>("reconnect_max_ms", kPerCell),
+    column<&S::repair_to_delivery_p50>("repair_p50_ms", kAggregated),
+    column<&S::pdr_pre_fault>("pdr_pre_fault", kPerCell),
+    column<&S::pdr_during_fault>("pdr_during_fault", kPerCell),
+    column<&S::pdr_post_fault>("pdr_post_fault", kAggregated),
+};
+
+constexpr std::size_t kAggregatedCount =
+    static_cast<std::size_t>(std::ranges::count_if(kColumns, &SummaryColumn::aggregated));
+
+}  // namespace
+
+std::span<const SummaryColumn> summary_columns() { return kColumns; }
+
+const Stat& ConfigAggregate::stat(std::string_view name) const {
+  std::size_t i = 0;
+  for (const SummaryColumn& col : kColumns) {
+    if (!col.aggregated) continue;
+    if (col.name == name) return stats.at(i);
+    ++i;
+  }
+  throw std::out_of_range{"campaign: no aggregated column '" + std::string(name) + "'"};
+}
 
 double t_critical_95(std::uint64_t df) {
   // Two-sided 95% (upper 2.5% point). Abramowitz & Stegun table 26.10.
@@ -34,56 +112,24 @@ ConfigAggregate aggregate_config(std::size_t config_index,
                                  const std::vector<CellResult>& cells) {
   ConfigAggregate agg;
   agg.config_index = config_index;
-  std::vector<double> sent, coap_pdr, ll_pdr, losses, reconnects, drops, p50, p99;
-  std::vector<double> bp_drops, brk_drops;
-  std::vector<double> injected, reconnect_p50, repair_p50, pdr_post;
-  std::vector<double> mean_hops, max_hops;
+  std::array<std::vector<double>, kAggregatedCount> samples;
   std::map<std::string, std::vector<double>> counter_samples;
   for (const CellResult& cell : cells) {
     if (cell.config_index != config_index) continue;
-    const testbed::ExperimentSummary& s = cell.summary;
+    const S& s = cell.summary;
     if (agg.topo_generator.empty()) {
       agg.topo_generator = s.topo_generator;
       agg.topo_nodes = s.topo_nodes;
     }
-    mean_hops.push_back(s.topo_mean_hops);
-    max_hops.push_back(static_cast<double>(s.topo_max_hops));
-    sent.push_back(static_cast<double>(s.sent));
-    coap_pdr.push_back(s.coap_pdr);
-    ll_pdr.push_back(s.ll_pdr);
-    losses.push_back(static_cast<double>(s.conn_losses));
-    reconnects.push_back(static_cast<double>(s.reconnects));
-    drops.push_back(static_cast<double>(s.pktbuf_drops));
-    bp_drops.push_back(static_cast<double>(s.backpressure_drops));
-    brk_drops.push_back(static_cast<double>(s.breaker_drops));
-    p50.push_back(s.rtt_p50.to_ms_f());
-    p99.push_back(s.rtt_p99.to_ms_f());
-    injected.push_back(static_cast<double>(s.losses_injected));
-    reconnect_p50.push_back(s.reconnect_p50.to_ms_f());
-    repair_p50.push_back(s.repair_to_delivery_p50.to_ms_f());
-    pdr_post.push_back(s.pdr_post_fault);
+    std::size_t i = 0;
+    for (const SummaryColumn& col : kColumns) {
+      if (col.aggregated) samples[i++].push_back(col.get(s));
+    }
     for (const auto& [name, v] : s.counters) counter_samples[name].push_back(v);
     agg.pooled_rtt.merge(cell.rtt);
   }
-  agg.topo_mean_hops = stat_of(mean_hops);
-  agg.topo_max_hops = stat_of(max_hops);
-  agg.sent = stat_of(sent);
-  agg.coap_pdr = stat_of(coap_pdr);
-  agg.ll_pdr = stat_of(ll_pdr);
-  agg.conn_losses = stat_of(losses);
-  agg.reconnects = stat_of(reconnects);
-  agg.pktbuf_drops = stat_of(drops);
-  agg.backpressure_drops = stat_of(bp_drops);
-  agg.breaker_drops = stat_of(brk_drops);
-  agg.rtt_p50_ms = stat_of(p50);
-  agg.rtt_p99_ms = stat_of(p99);
-  agg.losses_injected = stat_of(injected);
-  agg.reconnect_p50_ms = stat_of(reconnect_p50);
-  agg.repair_p50_ms = stat_of(repair_p50);
-  agg.pdr_post_fault = stat_of(pdr_post);
-  for (const auto& [name, samples] : counter_samples) {
-    agg.counters[name] = stat_of(samples);
-  }
+  for (const std::vector<double>& v : samples) agg.stats.push_back(stat_of(v));
+  for (const auto& [name, v] : counter_samples) agg.counters[name] = stat_of(v);
   return agg;
 }
 

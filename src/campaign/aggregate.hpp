@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "testbed/experiment.hpp"
@@ -32,6 +34,22 @@ struct Stat {
 /// Sample mean / Bessel-corrected stddev / t-based 95% CI half-width.
 [[nodiscard]] Stat stat_of(const std::vector<double>& samples);
 
+/// One fixed field of ExperimentSummary as a result column: its JSON/CSV
+/// name, its value (durations in ms), whether it prints as an integer, and
+/// whether configurations aggregate it across seeds. Adding a column means
+/// one summary field plus one row of the table behind summary_columns().
+struct SummaryColumn {
+  std::string_view name;
+  double (*get)(const testbed::ExperimentSummary&);
+  bool integer;
+  bool aggregated;
+};
+
+/// The per-cell columns that follow the topo_generator / topo_seed /
+/// topo_nodes metadata, in output order; the aggregated ones, in the same
+/// order, are the aggregate JSON fields and the CSV mean/ci95 pairs.
+[[nodiscard]] std::span<const SummaryColumn> summary_columns();
+
 /// Per-seed result of one (config, seed) cell.
 struct CellResult {
   std::size_t config_index{0};
@@ -47,35 +65,23 @@ struct CellResult {
 struct ConfigAggregate {
   std::size_t config_index{0};
   /// Topology metadata from the cells (generator and node count are fixed per
-  /// configuration; hop statistics vary across seeds for generated worlds).
+  /// configuration).
   std::string topo_generator;
   std::uint64_t topo_nodes{0};
-  Stat topo_mean_hops;
-  Stat topo_max_hops;
-  Stat sent;
-  Stat coap_pdr;
-  Stat ll_pdr;
-  Stat conn_losses;
-  Stat reconnects;
-  Stat pktbuf_drops;
-  // Flow-control drop attribution (zero with mechanisms off).
-  Stat backpressure_drops;
-  Stat breaker_drops;
-  Stat rtt_p50_ms;
-  Stat rtt_p99_ms;
-  // Recovery metrics (all-zero when the configuration injects no faults).
-  Stat losses_injected;
-  Stat reconnect_p50_ms;
-  Stat repair_p50_ms;
-  Stat pdr_post_fault;
+  /// One Stat per aggregated summary column, in summary_columns() order.
+  std::vector<Stat> stats;
   /// All seeds' RTT samples pooled into one histogram; its quantiles are the
-  /// across-replication distribution (vs. the mean-of-per-seed-quantiles
-  /// reported in rtt_p50_ms / rtt_p99_ms).
+  /// across-replication distribution (vs. the mean of the per-seed RTT
+  /// quantile columns).
   testbed::RttHistogram pooled_rtt;
   /// Observability counters (ExperimentSummary::counters) aggregated by name
   /// across seeds. std::map keeps the name order — and thus the JSON/CSV
   /// column order — deterministic.
   std::map<std::string, Stat> counters;
+
+  /// The Stat of aggregated column `name`; throws std::out_of_range if no
+  /// aggregated column has that name.
+  [[nodiscard]] const Stat& stat(std::string_view name) const;
 };
 
 /// Aggregates the cells of configuration `config_index`. `cells` may contain

@@ -1,7 +1,6 @@
 #include "campaign/spec.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <fstream>
 #include <sstream>
@@ -11,15 +10,7 @@ namespace mgap::campaign {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
+using testbed::trim;
 
 std::vector<std::string_view> split(std::string_view s, char sep) {
   std::vector<std::string_view> out;
@@ -99,6 +90,13 @@ std::vector<CellConfig> expand_grid(const CampaignSpec& spec) {
         cell.assignment.emplace_back(axis.keys[k], step[k]);
       }
     }
+    try {
+      testbed::validate(cell.config);
+    } catch (const std::exception& e) {
+      const std::string label = cell.label();
+      throw std::runtime_error{"campaign " + (label.empty() ? "base" : "cell " + label) + ": " +
+                               e.what()};
+    }
     out.push_back(std::move(cell));
   }
   return out;
@@ -125,43 +123,27 @@ std::vector<std::uint64_t> parse_seed_list(std::string_view text) {
 
 CampaignSpec parse_campaign_spec(std::string_view text) {
   CampaignSpec spec;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const auto nl = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-    ++line_no;
-
-    const auto hash = line.find('#');
-    if (hash != std::string_view::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::runtime_error{"campaign line " + std::to_string(line_no) +
-                               ": expected key = value"};
-    }
-    const std::string key{trim(line.substr(0, eq))};
-    const std::string value{trim(line.substr(eq + 1))};
-
+  // Checks each sweep value at parse time, so a typo fails before any cell
+  // runs. A value's syntax does not depend on the other keys.
+  testbed::ExperimentConfig scratch;
+  const auto apply_line = [&](std::string_view key, std::string_view value,
+                              std::size_t line_no) {
     if (key == "campaign") {
       spec.name = value;
-      continue;
+      return;
     }
     if (key == "seeds") {
       spec.seeds = parse_seed_list(value);
-      continue;
+      return;
     }
     // A comma makes the key a sweep axis; a single value configures the base.
     // A '|' in the key always declares an axis: it zips the keys together,
     // each comma-separated step a '|'-separated tuple with one value per key.
     // (No ExperimentConfig value contains a comma or a '|': ranges use ':',
     // chaos kinds '+', names are bare words — so both are unambiguous.)
-    if (key.find('|') == std::string::npos && value.find(',') == std::string::npos) {
+    if (key.find('|') == std::string_view::npos && value.find(',') == std::string_view::npos) {
       testbed::apply_experiment_kv(spec.base, key, value);
-      continue;
+      return;
     }
     const std::string where = "campaign line " + std::to_string(line_no) + ": ";
     CampaignSpec::Axis axis;
@@ -178,25 +160,23 @@ CampaignSpec parse_campaign_spec(std::string_view text) {
       std::vector<std::string> tuple;
       for (const std::string_view part : split(step, '|')) {
         if (part.empty()) {
-          throw std::runtime_error{where + "empty sweep value for '" + key + "'"};
+          throw std::runtime_error{where + "empty sweep value for '" + std::string(key) + "'"};
         }
         tuple.emplace_back(part);
       }
       if (tuple.size() != axis.keys.size()) {
-        throw std::runtime_error{where + "'" + key + "' wants " +
+        throw std::runtime_error{where + "'" + std::string(key) + "' wants " +
                                  std::to_string(axis.keys.size()) +
                                  " value(s) per step, got '" + std::string(step) + "'"};
       }
-      // Validate the step now, against a scratch config, so a typo fails at
-      // parse time rather than mid-campaign.
-      testbed::ExperimentConfig scratch = spec.base;
       for (std::size_t k = 0; k < tuple.size(); ++k) {
         testbed::apply_experiment_kv(scratch, axis.keys[k], tuple[k]);
       }
       axis.values.push_back(std::move(tuple));
     }
     spec.axes.push_back(std::move(axis));
-  }
+  };
+  testbed::for_each_key_value(text, "campaign", apply_line);
   return spec;
 }
 

@@ -62,8 +62,10 @@ struct CellConfig {
   [[nodiscard]] std::string label() const;
 };
 
-/// Expands the cross product of the spec's axes over its base configuration.
-/// Throws std::runtime_error if an axis value is malformed for its key.
+/// Expands the cross product of the spec's axes over its base configuration
+/// and runs testbed::validate on every cell (for a spec without axes, the
+/// base). Throws std::runtime_error if an axis value is malformed for its key
+/// or a cell fails validation.
 [[nodiscard]] std::vector<CellConfig> expand_grid(const CampaignSpec& spec);
 
 /// Parses "1..10" (inclusive range), "1, 2, 7" (list), or a single seed.
@@ -71,8 +73,9 @@ struct CellConfig {
 [[nodiscard]] std::vector<std::uint64_t> parse_seed_list(std::string_view text);
 
 /// Parses a campaign description (see header comment for the format).
-/// Scalar keys configure the base; comma-separated keys become sweep axes in
-/// file order; `campaign = <name>` and `seeds = ...` are campaign-level.
+/// Scalar keys configure the base in file order (a repeated key's last value
+/// wins, as in a `.conf`); comma-separated keys become sweep axes in file
+/// order; `campaign = <name>` and `seeds = ...` are campaign-level.
 /// Throws std::runtime_error on a malformed value, a zip tuple whose size
 /// differs from its key count, or a key swept by more than one axis.
 [[nodiscard]] CampaignSpec parse_campaign_spec(std::string_view text);

@@ -1,6 +1,6 @@
 #include "campaign/writers.hpp"
 
-#include <charconv>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -8,19 +8,16 @@
 #include <stdexcept>
 
 #include "sim/build_info.hpp"
+#include "sim/number.hpp"
 #include "testbed/report.hpp"
 
 namespace mgap::campaign {
 
 namespace {
 
-/// Shortest round-trip decimal form (std::to_chars): deterministic across
-/// runs and thread counts, and what the byte-identity test relies on.
-std::string json_double(double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
+// Shortest round-trip decimal form: deterministic across runs and thread
+// counts, and what the byte-identity test relies on.
+using sim::format_real;
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -38,16 +35,13 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-void json_stat(std::ostringstream& out, const char* name, const Stat& s,
-               const char* trail = ",") {
-  out << "        \"" << name << "\": {\"mean\": " << json_double(s.mean)
-      << ", \"stddev\": " << json_double(s.stddev)
-      << ", \"ci95\": " << json_double(s.ci95) << ", \"n\": " << s.n << "}" << trail
-      << "\n";
+std::string json_stat(const Stat& s) {
+  return "{\"mean\": " + format_real(s.mean) + ", \"stddev\": " + format_real(s.stddev) +
+         ", \"ci95\": " + format_real(s.ci95) + ", \"n\": " + std::to_string(s.n) + "}";
 }
 
 void csv_stat(std::ostringstream& out, const Stat& s) {
-  out << "," << json_double(s.mean) << "," << json_double(s.ci95);
+  out << "," << format_real(s.mean) << "," << format_real(s.ci95);
 }
 
 /// Sorted union of observability counter names across all aggregates. The
@@ -96,41 +90,21 @@ std::string to_json(const CampaignResult& result, bool include_code_version) {
       out << "        {\"seed\": " << cell.seed
           << ", \"topo_generator\": \"" << json_escape(s.topo_generator) << "\""
           << ", \"topo_seed\": " << s.topo_seed
-          << ", \"topo_nodes\": " << s.topo_nodes
-          << ", \"topo_mean_hops\": " << json_double(s.topo_mean_hops)
-          << ", \"topo_max_hops\": " << s.topo_max_hops
-          << ", \"sent\": " << s.sent
-          << ", \"acked\": " << s.acked
-          << ", \"coap_pdr\": " << json_double(s.coap_pdr)
-          << ", \"ll_pdr\": " << json_double(s.ll_pdr)
-          << ", \"conn_losses\": " << s.conn_losses
-          << ", \"reconnects\": " << s.reconnects
-          << ", \"pktbuf_drops\": " << s.pktbuf_drops
-          << ", \"link_down_drops\": " << s.link_down_drops
-          << ", \"backpressure_drops\": " << s.backpressure_drops
-          << ", \"breaker_drops\": " << s.breaker_drops
-          << ", \"coap_retransmissions\": " << s.coap_retransmissions
-          << ", \"coap_timeouts\": " << s.coap_timeouts
-          << ", \"rtt_p50_ms\": " << json_double(s.rtt_p50.to_ms_f())
-          << ", \"rtt_p99_ms\": " << json_double(s.rtt_p99.to_ms_f())
-          << ", \"rtt_max_ms\": " << json_double(s.rtt_max.to_ms_f())
-          << ", \"faults_injected\": " << s.faults_injected
-          << ", \"losses_injected\": " << s.losses_injected
-          << ", \"losses_emergent\": " << s.losses_emergent
-          << ", \"link_downs\": " << s.link_downs
-          << ", \"link_ups\": " << s.link_ups
-          << ", \"reconnect_p50_ms\": " << json_double(s.reconnect_p50.to_ms_f())
-          << ", \"reconnect_max_ms\": " << json_double(s.reconnect_max.to_ms_f())
-          << ", \"repair_p50_ms\": "
-          << json_double(s.repair_to_delivery_p50.to_ms_f())
-          << ", \"pdr_pre_fault\": " << json_double(s.pdr_pre_fault)
-          << ", \"pdr_during_fault\": " << json_double(s.pdr_during_fault)
-          << ", \"pdr_post_fault\": " << json_double(s.pdr_post_fault)
-          << ", \"counters\": {";
+          << ", \"topo_nodes\": " << s.topo_nodes;
+      for (const SummaryColumn& col : summary_columns()) {
+        const double v = col.get(s);
+        out << ", \"" << col.name << "\": ";
+        if (col.integer) {
+          out << static_cast<std::uint64_t>(v);
+        } else {
+          out << format_real(v);
+        }
+      }
+      out << ", \"counters\": {";
       std::size_t c = 0;
       for (const auto& [name, v] : s.counters) {
         if (c++ != 0) out << ", ";
-        out << "\"" << json_escape(name) << "\": " << json_double(v);
+        out << "\"" << json_escape(name) << "\": " << format_real(v);
       }
       out << "}}" << (j + 1 < n_seeds ? "," : "") << "\n";
     }
@@ -140,36 +114,24 @@ std::string to_json(const CampaignResult& result, bool include_code_version) {
     out << "        \"topo_generator\": \"" << json_escape(agg.topo_generator)
         << "\",\n";
     out << "        \"topo_nodes\": " << agg.topo_nodes << ",\n";
-    json_stat(out, "topo_mean_hops", agg.topo_mean_hops);
-    json_stat(out, "topo_max_hops", agg.topo_max_hops);
-    json_stat(out, "sent", agg.sent);
-    json_stat(out, "coap_pdr", agg.coap_pdr);
-    json_stat(out, "ll_pdr", agg.ll_pdr);
-    json_stat(out, "conn_losses", agg.conn_losses);
-    json_stat(out, "reconnects", agg.reconnects);
-    json_stat(out, "pktbuf_drops", agg.pktbuf_drops);
-    json_stat(out, "backpressure_drops", agg.backpressure_drops);
-    json_stat(out, "breaker_drops", agg.breaker_drops);
-    json_stat(out, "rtt_p50_ms", agg.rtt_p50_ms);
-    json_stat(out, "rtt_p99_ms", agg.rtt_p99_ms);
-    json_stat(out, "losses_injected", agg.losses_injected);
-    json_stat(out, "reconnect_p50_ms", agg.reconnect_p50_ms);
-    json_stat(out, "repair_p50_ms", agg.repair_p50_ms);
-    json_stat(out, "pdr_post_fault", agg.pdr_post_fault);
+    std::size_t k = 0;
+    for (const SummaryColumn& col : summary_columns()) {
+      if (col.aggregated) {
+        out << "        \"" << col.name << "\": " << json_stat(agg.stats[k++]) << ",\n";
+      }
+    }
     out << "        \"counters\": {";
     std::size_t c = 0;
     for (const auto& [name, stat] : agg.counters) {
       if (c++ != 0) out << ", ";
-      out << "\"" << json_escape(name) << "\": {\"mean\": " << json_double(stat.mean)
-          << ", \"stddev\": " << json_double(stat.stddev)
-          << ", \"ci95\": " << json_double(stat.ci95) << ", \"n\": " << stat.n << "}";
+      out << "\"" << json_escape(name) << "\": " << json_stat(stat);
     }
     out << "},\n";
     out << "        \"pooled_rtt\": {\"count\": " << agg.pooled_rtt.count()
-        << ", \"p50_ms\": " << json_double(agg.pooled_rtt.quantile(0.50).to_ms_f())
-        << ", \"p90_ms\": " << json_double(agg.pooled_rtt.quantile(0.90).to_ms_f())
-        << ", \"p99_ms\": " << json_double(agg.pooled_rtt.quantile(0.99).to_ms_f())
-        << ", \"max_ms\": " << json_double(agg.pooled_rtt.max_seen().to_ms_f())
+        << ", \"p50_ms\": " << format_real(agg.pooled_rtt.quantile(0.50).to_ms_f())
+        << ", \"p90_ms\": " << format_real(agg.pooled_rtt.quantile(0.90).to_ms_f())
+        << ", \"p99_ms\": " << format_real(agg.pooled_rtt.quantile(0.99).to_ms_f())
+        << ", \"max_ms\": " << format_real(agg.pooled_rtt.max_seen().to_ms_f())
         << "}\n";
     out << "      }\n";
     out << "    }" << (i + 1 < result.configs.size() ? "," : "") << "\n";
@@ -193,18 +155,11 @@ std::string to_csv(const CampaignResult& result, bool include_code_version) {
       out << "," << key;
     }
   }
-  out << ",seeds,topo_generator,topo_nodes,topo_mean_hops_mean,"
-         "topo_mean_hops_ci95,topo_max_hops_mean,topo_max_hops_ci95"
-         ",sent_mean,sent_ci95,coap_pdr_mean,coap_pdr_ci95,ll_pdr_mean,"
-         "ll_pdr_ci95,conn_losses_mean,conn_losses_ci95,reconnects_mean,"
-         "reconnects_ci95,pktbuf_drops_mean,pktbuf_drops_ci95,"
-         "backpressure_drops_mean,backpressure_drops_ci95,"
-         "breaker_drops_mean,breaker_drops_ci95,rtt_p50_ms_mean,"
-         "rtt_p50_ms_ci95,rtt_p99_ms_mean,rtt_p99_ms_ci95,"
-         "losses_injected_mean,losses_injected_ci95,reconnect_p50_ms_mean,"
-         "reconnect_p50_ms_ci95,repair_p50_ms_mean,repair_p50_ms_ci95,"
-         "pdr_post_fault_mean,pdr_post_fault_ci95,pooled_rtt_p50_ms,"
-         "pooled_rtt_p99_ms";
+  out << ",seeds,topo_generator,topo_nodes";
+  for (const SummaryColumn& col : summary_columns()) {
+    if (col.aggregated) out << "," << col.name << "_mean," << col.name << "_ci95";
+  }
+  out << ",pooled_rtt_p50_ms,pooled_rtt_p99_ms";
   for (const std::string& name : counter_cols) {
     out << "," << name << "_mean," << name << "_ci95";
   }
@@ -217,24 +172,9 @@ std::string to_csv(const CampaignResult& result, bool include_code_version) {
     }
     out << "," << result.seeds.size();
     out << "," << agg.topo_generator << "," << agg.topo_nodes;
-    csv_stat(out, agg.topo_mean_hops);
-    csv_stat(out, agg.topo_max_hops);
-    csv_stat(out, agg.sent);
-    csv_stat(out, agg.coap_pdr);
-    csv_stat(out, agg.ll_pdr);
-    csv_stat(out, agg.conn_losses);
-    csv_stat(out, agg.reconnects);
-    csv_stat(out, agg.pktbuf_drops);
-    csv_stat(out, agg.backpressure_drops);
-    csv_stat(out, agg.breaker_drops);
-    csv_stat(out, agg.rtt_p50_ms);
-    csv_stat(out, agg.rtt_p99_ms);
-    csv_stat(out, agg.losses_injected);
-    csv_stat(out, agg.reconnect_p50_ms);
-    csv_stat(out, agg.repair_p50_ms);
-    csv_stat(out, agg.pdr_post_fault);
-    out << "," << json_double(agg.pooled_rtt.quantile(0.50).to_ms_f()) << ","
-        << json_double(agg.pooled_rtt.quantile(0.99).to_ms_f());
+    for (const Stat& stat : agg.stats) csv_stat(out, stat);
+    out << "," << format_real(agg.pooled_rtt.quantile(0.50).to_ms_f()) << ","
+        << format_real(agg.pooled_rtt.quantile(0.99).to_ms_f());
     for (const std::string& name : counter_cols) {
       const auto it = agg.counters.find(name);
       csv_stat(out, it == agg.counters.end() ? Stat{} : it->second);
@@ -254,18 +194,24 @@ void write_file(const std::string& path, const std::string& content) {
 void print_console_report(const CampaignResult& result) {
   std::printf("campaign '%s': %zu configuration(s) x %zu seed(s)\n\n",
               result.name.c_str(), result.configs.size(), result.seeds.size());
-  std::printf("%-42s %18s %18s %16s %16s %12s\n", "configuration", "coapPDR",
-              "llPDR", "p50[ms]", "p99[ms]", "losses");
+  std::vector<std::string> labels;
+  int width = static_cast<int>(std::string_view{"configuration"}.size());
+  for (const CellConfig& config : result.configs) {
+    labels.push_back(config.assignment.empty() ? "(base)" : config.label());
+    width = std::max(width, static_cast<int>(labels.back().size()));
+  }
+  std::printf("%-*s %18s %18s %16s %16s %12s\n", width, "configuration", "coapPDR", "llPDR",
+              "p50[ms]", "p99[ms]", "losses");
   for (std::size_t i = 0; i < result.configs.size(); ++i) {
     const ConfigAggregate& agg = result.aggregates[i];
-    const std::string label = result.configs[i].label();
-    std::printf("%-42s %18s %18s %16s %16s %12s\n",
-                label.empty() ? "(base)" : label.c_str(),
-                testbed::format_mean_ci(agg.coap_pdr.mean, agg.coap_pdr.ci95).c_str(),
-                testbed::format_mean_ci(agg.ll_pdr.mean, agg.ll_pdr.ci95).c_str(),
-                testbed::format_mean_ci(agg.rtt_p50_ms.mean, agg.rtt_p50_ms.ci95, 1).c_str(),
-                testbed::format_mean_ci(agg.rtt_p99_ms.mean, agg.rtt_p99_ms.ci95, 1).c_str(),
-                testbed::format_mean_ci(agg.conn_losses.mean, agg.conn_losses.ci95, 1).c_str());
+    const auto cell = [&agg](std::string_view name, int decimals) {
+      const Stat& s = agg.stat(name);
+      return testbed::format_mean_ci(s.mean, s.ci95, decimals);
+    };
+    std::printf("%-*s %18s %18s %16s %16s %12s\n", width, labels[i].c_str(),
+                cell("coap_pdr", 4).c_str(), cell("ll_pdr", 4).c_str(),
+                cell("rtt_p50_ms", 1).c_str(), cell("rtt_p99_ms", 1).c_str(),
+                cell("conn_losses", 1).c_str());
   }
 }
 

@@ -13,6 +13,7 @@
 //    fast while the link is hopeless, probe gently on recovery.
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "sim/time.hpp"
 
@@ -54,6 +55,16 @@ struct FlowConfig {
 
   [[nodiscard]] bool bounded_queue() const { return txq_frames > 0; }
   [[nodiscard]] bool any() const { return bounded_queue() || backoff || breaker; }
+
+  /// Cross-field checks; throws std::runtime_error naming the config keys.
+  void validate() const {
+    if (congest_off_pct > congest_on_pct) {
+      throw std::runtime_error{"flow.congest_off_pct must not exceed flow.congest_on_pct"};
+    }
+    if (backoff_base > backoff_max) {
+      throw std::runtime_error{"flow.backoff_base must not exceed flow.backoff_max"};
+    }
+  }
 };
 
 /// Timing-free circuit-breaker state machine; the caller supplies `now` so

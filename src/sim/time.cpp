@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace mgap::sim {
@@ -49,12 +50,25 @@ std::optional<Duration> parse_duration(std::string_view text) {
   }
   if (negative) num = -num;
   const std::string_view unit = text.substr(unit_pos);
-  if (unit == "us") return Duration::ns(static_cast<std::int64_t>(num * 1e3));
-  if (unit == "ms") return Duration::ms_f(num);
-  if (unit == "s") return Duration::sec_f(num);
-  if (unit == "m" || unit == "min") return Duration::sec_f(num * 60.0);
-  if (unit == "h") return Duration::sec_f(num * 3600.0);
-  return std::nullopt;
+  double ns{};
+  if (unit == "ns") {
+    ns = num;  // the unit Duration::str() writes for sub-microsecond values
+  } else if (unit == "us") {
+    ns = num * 1e3;
+  } else if (unit == "ms") {
+    ns = num * 1e6;
+  } else if (unit == "s") {
+    ns = num * 1e9;
+  } else if (unit == "m" || unit == "min") {
+    ns = num * 60.0 * 1e9;
+  } else if (unit == "h") {
+    ns = num * 3600.0 * 1e9;
+  } else {
+    return std::nullopt;
+  }
+  // Past +-2^63 ns (about 292 years) the conversion would overflow.
+  if (!(std::abs(ns) < 0x1p63)) return std::nullopt;
+  return Duration::ns(static_cast<std::int64_t>(ns));
 }
 
 }  // namespace mgap::sim

@@ -1,28 +1,34 @@
 #include "topo/spec.hpp"
 
-#include <charconv>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "sim/number.hpp"
 
 namespace mgap::topo {
 
 namespace {
 
 double parse_number(const std::string& value, const std::string& key) {
-  double v{};
-  const char* end = value.data() + value.size();
-  const auto res = std::from_chars(value.data(), end, v);
-  if (res.ec != std::errc{} || res.ptr != end) {
-    throw std::runtime_error{"config: bad number for '" + key + "'"};
-  }
-  return v;
+  const auto v = sim::parse_real(value);
+  if (!v) throw std::runtime_error{"config: bad number for '" + key + "'"};
+  return *v;
 }
 
 double parse_positive(const std::string& value, const std::string& key) {
   const double v = parse_number(value, key);
   if (!(v > 0.0)) throw std::runtime_error{"config: '" + key + "' must be > 0"};
   return v;
+}
+
+/// A non-negative count; a fraction truncates, a value past `unsigned` is bad.
+unsigned to_count(double v, const std::string& key) {
+  if (v > std::numeric_limits<unsigned>::max()) {
+    throw std::runtime_error{"config: bad number for '" + key + "'"};
+  }
+  return static_cast<unsigned>(v);
 }
 
 }  // namespace
@@ -84,8 +90,7 @@ bool apply_topo_kv(TopoSpec& spec, const std::string& key, const std::string& va
   if (sub == "generator") {
     spec.generator = parse_generator(value);
   } else if (sub == "nodes") {
-    const double n = parse_positive(value, key);
-    spec.nodes = static_cast<unsigned>(n);
+    spec.nodes = to_count(parse_positive(value, key), key);
   } else if (sub == "area") {
     const double v = parse_number(value, key);
     if (v < 0.0) throw std::runtime_error{"config: 'topo.area' must be >= 0"};
@@ -97,7 +102,7 @@ bool apply_topo_kv(TopoSpec& spec, const std::string& key, const std::string& va
   } else if (sub == "max_degree") {
     const double v = parse_number(value, key);
     if (v < 0.0) throw std::runtime_error{"config: 'topo.max_degree' must be >= 0"};
-    spec.max_degree = static_cast<unsigned>(v);
+    spec.max_degree = to_count(v, key);
   } else if (sub == "grid_jitter") {
     spec.grid_jitter = parse_number(value, key);
   } else if (sub == "rooms") {
@@ -106,8 +111,8 @@ bool apply_topo_kv(TopoSpec& spec, const std::string& key, const std::string& va
     if (x == std::string::npos) {
       throw std::runtime_error{"config: 'topo.rooms' wants WxH, e.g. 4x3"};
     }
-    spec.rooms_x = static_cast<unsigned>(parse_positive(value.substr(0, x), key));
-    spec.rooms_y = static_cast<unsigned>(parse_positive(value.substr(x + 1), key));
+    spec.rooms_x = to_count(parse_positive(value.substr(0, x), key), key);
+    spec.rooms_y = to_count(parse_positive(value.substr(x + 1), key), key);
   } else if (sub == "wall_loss_db") {
     spec.wall_loss_db = parse_number(value, key);
   } else if (sub == "tx_power_dbm") {
@@ -119,7 +124,9 @@ bool apply_topo_kv(TopoSpec& spec, const std::string& key, const std::string& va
   } else if (sub == "fade_margin_db") {
     spec.fade_margin_db = parse_positive(value, key);
   } else if (sub == "seed") {
-    spec.seed = static_cast<std::uint64_t>(parse_number(value, key));
+    const auto seed = sim::parse_uint(value);
+    if (!seed) throw std::runtime_error{"config: bad number for '" + key + "'"};
+    spec.seed = *seed;
   } else {
     throw std::runtime_error{"config: unknown key '" + key + "'"};
   }
@@ -132,22 +139,36 @@ std::string render_topo_spec(const TopoSpec& spec) {
   out << "topo.generator = " << spec.generator_name() << "\n";
   out << "topo.nodes = " << spec.nodes << "\n";
   if (spec.area > 0.0) {
-    out << "topo.area = " << spec.area << "\n";
+    out << "topo.area = " << sim::format_real(spec.area) << "\n";
   } else {
-    out << "topo.density = " << spec.density << "\n";
+    out << "topo.density = " << sim::format_real(spec.density) << "\n";
   }
-  out << "topo.range = " << spec.range << "\n";
-  if (spec.max_degree != TopoSpec{}.max_degree) {
+  out << "topo.range = " << sim::format_real(spec.range) << "\n";
+  // max_degree and the radio parameters render only off their defaults.
+  const TopoSpec defaults;
+  if (spec.max_degree != defaults.max_degree) {
     out << "topo.max_degree = " << spec.max_degree << "\n";
   }
   if (spec.generator == Generator::kJitterGrid) {
-    out << "topo.grid_jitter = " << spec.grid_jitter << "\n";
+    out << "topo.grid_jitter = " << sim::format_real(spec.grid_jitter) << "\n";
   }
   if (spec.generator == Generator::kFloorplan) {
     if (spec.rooms_x > 0) {
       out << "topo.rooms = " << spec.rooms_x << "x" << spec.rooms_y << "\n";
     }
-    out << "topo.wall_loss_db = " << spec.wall_loss_db << "\n";
+    out << "topo.wall_loss_db = " << sim::format_real(spec.wall_loss_db) << "\n";
+  }
+  if (spec.tx_power_dbm != defaults.tx_power_dbm) {
+    out << "topo.tx_power_dbm = " << sim::format_real(spec.tx_power_dbm) << "\n";
+  }
+  if (spec.path_loss_exp != defaults.path_loss_exp) {
+    out << "topo.path_loss_exp = " << sim::format_real(spec.path_loss_exp) << "\n";
+  }
+  if (spec.sensitivity_dbm != defaults.sensitivity_dbm) {
+    out << "topo.sensitivity_dbm = " << sim::format_real(spec.sensitivity_dbm) << "\n";
+  }
+  if (spec.fade_margin_db != defaults.fade_margin_db) {
+    out << "topo.fade_margin_db = " << sim::format_real(spec.fade_margin_db) << "\n";
   }
   if (spec.seed != 0) out << "topo.seed = " << spec.seed << "\n";
   return out.str();

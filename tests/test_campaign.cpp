@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "campaign/aggregate.hpp"
 #include "campaign/runner.hpp"
@@ -164,10 +166,118 @@ TEST(Aggregate, PoolsRttAcrossSeedsOnly) {
   other.summary.coap_pdr = 0.0;
   other.rtt.add(sim::Duration::sec(5));
   const ConfigAggregate agg = aggregate_config(0, {a, b, other});
-  EXPECT_EQ(agg.coap_pdr.n, 2u);
-  EXPECT_DOUBLE_EQ(agg.coap_pdr.mean, 0.95);
+  EXPECT_EQ(agg.stat("coap_pdr").n, 2u);
+  EXPECT_DOUBLE_EQ(agg.stat("coap_pdr").mean, 0.95);
   EXPECT_EQ(agg.pooled_rtt.count(), 2u);
   EXPECT_LT(agg.pooled_rtt.max_seen(), sim::Duration::sec(1));
+}
+
+TEST(SpecParse, EveryCellRunsTheConfCrossKeyChecks) {
+  const auto error_of = [](const char* text) -> std::string {
+    try {
+      (void)expand_grid(parse_campaign_spec(text));
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "<no error>";
+  };
+  // flow.congest_on_pct defaults to 75, so a base of 95 is rejected, as run_experiment does.
+  EXPECT_EQ(error_of("flow.congest_off_pct = 95\n"),
+            "campaign base: config: flow.congest_off_pct must not exceed flow.congest_on_pct");
+  EXPECT_EQ(error_of("flow.backoff_base = 2s\nflow.backoff_max = 1s\n"),
+            "campaign base: config: flow.backoff_base must not exceed flow.backoff_max");
+  EXPECT_EQ(error_of("topo.generator = rgg\ntopo.nodes = 1\n"),
+            "campaign base: config: topo: need at least 2 nodes");
+  // A grid cell is checked as a whole: only one of these four cells is bad.
+  EXPECT_EQ(error_of("flow.congest_on_pct = 40, 90\nflow.congest_off_pct = 30, 60\n"),
+            "campaign cell flow.congest_on_pct=40 flow.congest_off_pct=60: config: "
+            "flow.congest_off_pct must not exceed flow.congest_on_pct");
+  // A base that is invalid on its own is fine when every cell is valid.
+  EXPECT_EQ(error_of("flow.congest_off_pct = 80\nflow.congest_on_pct = 85, 90\n"),
+            "<no error>");
+  // The runner expands (and so checks) the grid before any cell runs.
+  RunnerOptions options;
+  options.progress = false;
+  EXPECT_THROW((void)CampaignRunner{options}.run(parse_campaign_spec("flow.congest_off_pct = 95\n")),
+               std::runtime_error);
+}
+
+/// A two-seed result with one axis column and one counter, written by hand.
+CampaignResult pinned_result() {
+  CampaignResult result;
+  result.name = "pin";
+  result.seeds = {1, 2};
+  CellConfig config;
+  config.assignment = {{"conn_interval", "75ms"}};
+  result.configs.push_back(config);
+  for (unsigned s = 1; s <= 2; ++s) {
+    CellResult cell;
+    cell.seed = s;
+    cell.summary.topo_generator = "static:star";
+    cell.summary.topo_nodes = 5;
+    cell.summary.sent = 100 * s;
+    cell.summary.acked = 90 * s;
+    cell.summary.coap_pdr = 0.9 + 0.05 * s;
+    cell.summary.rtt_p50 = sim::Duration::us(1500 * s);
+    cell.summary.counters["radio.claims"] = 3.0 * s;
+    cell.rtt.add(sim::Duration::ms(10 * s));
+    result.cells.push_back(cell);
+  }
+  result.aggregates.push_back(aggregate_config(0, result.cells));
+  return result;
+}
+
+// The exact CSV bytes, header and row, as written before the summary columns
+// became one table.
+TEST(Writers, CsvBytesArePinned) {
+  EXPECT_EQ(to_csv(pinned_result(), false),
+            "config_index,conn_interval,seeds,topo_generator,topo_nodes,topo_mean_hops_mean,"
+            "topo_mean_hops_ci95,topo_max_hops_mean,topo_max_hops_ci95,sent_mean,sent_ci95,"
+            "coap_pdr_mean,coap_pdr_ci95,ll_pdr_mean,ll_pdr_ci95,conn_losses_mean,"
+            "conn_losses_ci95,reconnects_mean,reconnects_ci95,pktbuf_drops_mean,"
+            "pktbuf_drops_ci95,backpressure_drops_mean,backpressure_drops_ci95,"
+            "breaker_drops_mean,breaker_drops_ci95,rtt_p50_ms_mean,rtt_p50_ms_ci95,"
+            "rtt_p99_ms_mean,rtt_p99_ms_ci95,losses_injected_mean,losses_injected_ci95,"
+            "reconnect_p50_ms_mean,reconnect_p50_ms_ci95,repair_p50_ms_mean,"
+            "repair_p50_ms_ci95,pdr_post_fault_mean,pdr_post_fault_ci95,pooled_rtt_p50_ms,"
+            "pooled_rtt_p99_ms,radio.claims_mean,radio.claims_ci95\n"
+            "0,75ms,2,static:star,5,0,0,0,0,150,635.3,0.9750000000000001,0.31764999999999954,"
+            "1,0,0,0,0,0,0,0,0,0,0,0,2.25,9.529499999999999,0,0,0,0,0,0,0,0,1,0,10.181517,"
+            "10.181517,4.5,19.058999999999997\n");
+}
+
+TEST(Writers, IntegerColumnsKeepIntegerFormatting) {
+  CampaignResult result = pinned_result();
+  result.cells[0].summary.sent = 100'000'000;
+  const std::string json = to_json(result, false);
+  EXPECT_NE(json.find("\"sent\": 100000000,"), std::string::npos);
+  EXPECT_EQ(json.find("1e+08"), std::string::npos);
+}
+
+TEST(Writers, ConsoleLabelColumnFitsTheLongestLabel) {
+  CampaignResult result = pinned_result();
+  CellConfig wide = result.configs[0];
+  wide.assignment = {{"conn_interval", "500ms"},
+                     {"supervision_timeout", "4s"},
+                     {"producer_interval", "100ms"},
+                     {"producer_jitter", "50ms"}};
+  result.configs.push_back(wide);
+  result.aggregates.push_back(result.aggregates[0]);
+  testing::internal::CaptureStdout();
+  print_console_report(result);
+  const std::string out = testing::internal::GetCapturedStdout();
+  // Header and both rows line up: every table line has the same length.
+  std::vector<std::string> lines;
+  std::size_t pos = out.find("\n\n") + 2;
+  while (pos < out.size()) {
+    const std::size_t nl = out.find('\n', pos);
+    lines.push_back(out.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[1].size(), lines[0].size());
+  EXPECT_EQ(lines[2].size(), lines[0].size());
+  EXPECT_EQ(lines[2].rfind(wide.label(), 0), 0u);
 }
 
 TEST(FormatMeanCi, Renders) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@ TEST(ParseDuration, Units) {
   EXPECT_EQ(parse_duration("2s"), sim::Duration::sec(2));
   EXPECT_EQ(parse_duration("30m"), sim::Duration::minutes(30));
   EXPECT_EQ(parse_duration("24h"), sim::Duration::hours(24));
+  EXPECT_EQ(parse_duration("1500ns"), sim::Duration::ns(1500));
   EXPECT_EQ(parse_duration(" 10ms "), sim::Duration::ms(10));
 }
 
@@ -449,6 +451,164 @@ TEST(ConfigFile, MeshConfigRendersBackIdentically) {
   EXPECT_EQ(round.mesh.heartbeat_period, sim::Duration::sec(4));
   EXPECT_DOUBLE_EQ(round.mesh.scan_duty, 0.75);
   EXPECT_TRUE(round.energy_account);
+}
+
+TEST(ConfigFile, RejectsMalformedNumbers) {
+  // Durations are never negative.
+  for (const char* key :
+       {"duration", "producer_interval", "producer_jitter", "conn_interval",
+        "supervision_timeout", "metrics_bucket", "reconnect_backoff_base",
+        "reconnect_backoff_max", "reconnect_backoff_jitter", "flow.backoff_base",
+        "flow.backoff_max", "flow.backoff_jitter", "flow.breaker_open", "mesh.adv_interval",
+        "mesh.heartbeat_period"}) {
+    expect_config_error(std::string{key} + " = -5s", std::string{"config: bad "} + key);
+  }
+  expect_config_error("conn_interval = -85:-65ms", "config: bad conn_interval");
+  expect_config_error("conn_interval = 85:65ms", "config: bad conn_interval");
+  expect_config_error("duration = 300000000h", "config: bad duration");
+  // A zero bucket would divide by zero once the run starts.
+  expect_config_error("metrics_bucket = 0s", "config: bad metrics_bucket");
+  // Integers only: no sign, no fraction, nothing past 64 bits.
+  expect_config_error("payload_len = -3", "config: bad payload_len");
+  expect_config_error("payload_len = 2.5", "config: bad payload_len");
+  expect_config_error("seed = 2.7", "config: bad seed");
+  expect_config_error("seed = -1", "config: bad seed");
+  expect_config_error("seed = 1e30", "config: bad seed");
+  expect_config_error("topo.seed = -1", "config: bad number for 'topo.seed'");
+  expect_config_error("topo.nodes = 1e12", "config: bad number for 'topo.nodes'");
+  // Other spellings of an integer stay accepted; 64-bit seeds are exact.
+  EXPECT_EQ(parse_experiment_config("seed = 1e3\n").seed, 1000u);
+  EXPECT_EQ(parse_experiment_config("payload_len = 16.0\n").payload_len, 16u);
+  EXPECT_EQ(parse_experiment_config("seed = 18446744073709551615\n").seed,
+            18446744073709551615u);
+  EXPECT_EQ(parse_experiment_config("metrics_bucket = 1us\n").metrics_bucket,
+            sim::Duration::us(1));
+}
+
+/// One non-default value per key, as `input` lines, and the lines the render
+/// must then contain (the input itself unless given).
+struct KeySample {
+  std::string_view key;
+  std::string input;
+  std::string expect{};
+};
+
+const KeySample kSamples[] = {
+    {"radio", "radio = ieee802154"},
+    {"link.backend", "link.backend = mesh"},
+    {"topology", "topology = star7"},
+    {"topo.",
+     "topo.generator = floorplan\ntopo.nodes = 40\ntopo.area = 123.456789\n"
+     "topo.range = 9.87654321\ntopo.max_degree = 5\ntopo.rooms = 4x3\n"
+     "topo.wall_loss_db = 3.3333333333\ntopo.tx_power_dbm = -4.5\n"
+     "topo.path_loss_exp = 2.718281828\ntopo.sensitivity_dbm = -90.25\n"
+     "topo.fade_margin_db = 7.125\ntopo.seed = 99"},
+    {"topo.",
+     "topo.generator = jitter_grid\ntopo.nodes = 30\ntopo.density = 7.123456789\n"
+     "topo.range = 10\ntopo.grid_jitter = 0.123456789"},
+    {"duration", "duration = 90s"},
+    {"producer_interval", "producer_interval = 250ms"},
+    {"producer_jitter", "producer_jitter = 125ms"},
+    {"conn_interval", "conn_interval = 65ms:85ms"},
+    {"conn_interval", "conn_interval = 30ms"},
+    {"supervision_timeout", "supervision_timeout = 4s"},
+    {"payload_len", "payload_len = 100"},
+    {"seed", "seed = 18446744073709551615"},
+    {"base_per", "base_per = 0.0123456789"},
+    {"drift_ppm_range", "drift_ppm_range = 3.14159265358979"},
+    {"jam_channel_22", "jam_channel_22 = false"},
+    {"exclude_channel_22", "exclude_channel_22 = false"},
+    {"adaptive_channel_map", "adaptive_channel_map = true"},
+    {"confirmable_coap", "confirmable_coap = true"},
+    {"param_update_mitigation", "param_update_mitigation = true"},
+    {"arena", "arena = false"},
+    {"compression", "compression = iphc"},
+    {"metrics_bucket", "metrics_bucket = 2500us"},
+    {"metrics_bucket", "metrics_bucket = 1500ns"},
+    {"fault.", "fault.2 = crash node=3 at=20s reboot_after=5s"},
+    {"chaos_rate", "chaos_rate = 0.333333333333"},
+    {"chaos_kinds", "chaos_rate = 1\nchaos_kinds = crash+blackout"},
+    {"reconnect_backoff_base", "reconnect_backoff_base = 15ms"},
+    {"reconnect_backoff_max", "reconnect_backoff_max = 2s"},
+    {"reconnect_backoff_jitter", "reconnect_backoff_jitter = 7ms"},
+    {"flow.preset", "flow.preset = all",
+     "flow.l2cap_credits = deferred\nflow.txq_frames = 16\nflow.backoff = true\n"
+     "flow.breaker = true\ncc.mode = cocoa\ncc.nstart = 16"},
+    {"flow.l2cap_credits", "flow.l2cap_credits = deferred"},
+    {"flow.initial_credits", "flow.initial_credits = 12"},
+    {"flow.credit_batch", "flow.credit_batch = 4"},
+    {"flow.txq_frames", "flow.txq_frames = 64"},
+    {"flow.backoff", "flow.backoff = true"},
+    {"flow.backoff_base", "flow.backoff_base = 15ms"},
+    {"flow.backoff_max", "flow.backoff_max = 2s"},
+    {"flow.backoff_jitter", "flow.backoff_jitter = 3ms"},
+    {"flow.breaker", "flow.breaker = true"},
+    {"flow.breaker_threshold", "flow.breaker_threshold = 3"},
+    {"flow.breaker_open", "flow.breaker_open = 750ms"},
+    {"flow.breaker_probes", "flow.breaker_probes = 5"},
+    {"flow.congest_on_pct", "flow.congest_on_pct = 90"},
+    {"flow.congest_off_pct", "flow.congest_off_pct = 10"},
+    {"cc.mode", "cc.mode = cocoa"},
+    {"cc.nstart", "cc.nstart = 4"},
+    {"mesh.ttl", "mesh.ttl = 9"},
+    {"mesh.relay_density", "mesh.relay_density = 0.123456789"},
+    {"mesh.cache_entries", "mesh.cache_entries = 256"},
+    {"mesh.transmit_count", "mesh.transmit_count = 3"},
+    {"mesh.adv_interval", "mesh.adv_interval = 40ms"},
+    {"mesh.heartbeat_period", "mesh.heartbeat_period = 2s"},
+    {"mesh.queue_cap", "mesh.queue_cap = 128"},
+    {"mesh.reasm_entries", "mesh.reasm_entries = 16"},
+    {"mesh.scan_duty", "mesh.scan_duty = 0.987654321"},
+    {"energy.account", "energy.account = true"},
+    {"trace.file", "trace.file = /tmp/a.mgt"},
+    {"trace.pcap", "trace.pcap = /tmp/a.pcapng"},
+    {"trace.categories", "trace.categories = ll,net"},
+};
+
+// Walks the key table: for every key, a non-default value renders exactly as
+// written (reals included, to the last digit) and parses back to the same
+// render.
+TEST(ConfigFile, EveryKeySurvivesRenderAndParse) {
+  const std::string defaults = render_experiment_config(ExperimentConfig{});
+  const std::vector<std::string_view> keys = experiment_config_keys();
+  for (const std::string_view key : keys) {
+    SCOPED_TRACE(key);
+    bool sampled = false;
+    for (const KeySample& sample : kSamples) {
+      if (sample.key != key) continue;
+      sampled = true;
+      const std::string rendered = render_experiment_config(parse_experiment_config(sample.input));
+      EXPECT_NE(rendered, defaults);
+      std::istringstream want{sample.expect.empty() ? sample.input : sample.expect};
+      for (std::string line; std::getline(want, line);) {
+        EXPECT_NE(rendered.find(line + "\n"), std::string::npos) << line << "\nin:\n" << rendered;
+      }
+      EXPECT_EQ(render_experiment_config(parse_experiment_config(rendered)), rendered);
+    }
+    EXPECT_TRUE(sampled) << "no sample for key " << key;
+  }
+  for (const KeySample& sample : kSamples) {
+    EXPECT_NE(std::find(keys.begin(), keys.end(), sample.key), keys.end()) << sample.key;
+  }
+}
+
+// One rule for both parsers: keys apply in file order and the last value
+// wins, so a knob after a preset overrides it in a .conf and a campaign alike.
+TEST(ConfigFile, ConfAndCampaignApplyKeysInFileOrder) {
+  for (const char* text : {"flow.preset = all\ncc.nstart = 4\n",
+                           "cc.nstart = 4\nflow.preset = all\n",
+                           "duration = 1m\nradio = 802154\nduration = 2m\nlink.backend = adv\n"}) {
+    SCOPED_TRACE(text);
+    const ExperimentConfig conf = parse_experiment_config(text);
+    EXPECT_EQ(render_experiment_config(conf),
+              render_experiment_config(campaign::parse_campaign_spec(text).base));
+  }
+  EXPECT_EQ(parse_experiment_config("flow.preset = all\ncc.nstart = 4\n").cc.nstart, 4u);
+  EXPECT_EQ(parse_experiment_config("cc.nstart = 4\nflow.preset = all\n").cc.nstart, 16u);
+  const ExperimentConfig repeated =
+      parse_experiment_config("duration = 1m\nradio = 802154\nduration = 2m\nlink.backend = adv\n");
+  EXPECT_EQ(repeated.duration, sim::Duration::minutes(2));
+  EXPECT_EQ(repeated.radio, core::LinkBackendKind::kAdv);
 }
 
 }  // namespace
