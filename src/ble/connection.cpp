@@ -265,8 +265,16 @@ bool Connection::run_exchange(sim::TimePoint anchor, std::uint8_t channel) {
   const phy::ChannelModel& cm_s2c = world_.channel_model_for(coord_.id());
   obs::Recorder* rec = world_.recorder();
   const bool rec_pdu = rec != nullptr && rec->wants(obs::EventType::kPduTx);
-  // Pairwise link quality (mobility extension): 0 in the paper's fixed grid.
-  const double link_per = world_.link_per(coord_.id(), sub_.id());
+  // Pairwise link quality (geometry, mobility, fault windows): 0 in the
+  // paper's fixed grid. The model is asked only when its last answer has
+  // lapsed or a new model was installed since.
+  if (anchor >= link_per_until_ || link_per_version_ != world_.link_model_version()) {
+    const phy::LinkPer answer = world_.link_per(coord_.id(), sub_.id());
+    link_per_ = answer.per;
+    link_per_until_ = answer.valid_until;
+    link_per_version_ = world_.link_model_version();
+  }
+  const double link_per = link_per_;
   sim::TimePoint t = anchor;
   unsigned pairs = 0;
   bool sub_synced = false;

@@ -169,6 +169,13 @@ class alignas(64) Connection {
   BleWorld& world_;
   ConnId id_;
   std::uint32_t access_address_;
+  // The link-PER model's last answer for this pair and until when it holds
+  // (phy/link_per.hpp), taken under BleWorld::link_model_version
+  // link_per_version_. An origin link_per_until_ has lapsed: the first
+  // exchange asks the model.
+  std::uint32_t link_per_version_{0};
+  double link_per_{0.0};
+  sim::TimePoint link_per_until_;
 
   std::deque<LlPdu> coord_q_;
   std::deque<LlPdu> sub_q_;

@@ -9,13 +9,15 @@
 namespace mgap::ble {
 
 Controller::Controller(sim::Simulator& sim, BleWorld& world, NodeId id,
-                       sim::SleepClock clock, ControllerConfig config)
+                       std::uint32_t creation_index, sim::SleepClock clock,
+                       ControllerConfig config)
     : clock_{clock},
       id_{id},
       sim_{sim},
       world_{world},
       config_{std::move(config)},
-      rng_{sim.make_rng()} {}
+      rng_{sim.make_rng()},
+      creation_index_{creation_index} {}
 
 // --- GAP: advertising --------------------------------------------------------
 

@@ -69,13 +69,16 @@ class alignas(64) Controller {
     std::function<void(Connection&)> on_tx_space;
   };
 
-  Controller(sim::Simulator& sim, BleWorld& world, NodeId id, sim::SleepClock clock,
-             ControllerConfig config);
+  /// `creation_index` is the node's position in BleWorld::nodes().
+  Controller(sim::Simulator& sim, BleWorld& world, NodeId id, std::uint32_t creation_index,
+             sim::SleepClock clock, ControllerConfig config);
 
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
   [[nodiscard]] NodeId id() const { return id_; }
+  /// Position in BleWorld::nodes(): unlike the id, invariant under relabeling.
+  [[nodiscard]] std::uint32_t creation_index() const { return creation_index_; }
   [[nodiscard]] const sim::SleepClock& clock() const { return clock_; }
   [[nodiscard]] RadioScheduler& scheduler() { return sched_; }
   [[nodiscard]] const ControllerConfig& config() const { return config_; }
@@ -175,6 +178,7 @@ class alignas(64) Controller {
   bool advertising_{false};
   std::uint64_t adv_session_{0};
   std::uint16_t adv_data_{0};
+  std::uint32_t creation_index_;
   ObserverCb observer_;
   sim::TimePoint observe_start_;
 

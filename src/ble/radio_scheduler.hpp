@@ -60,9 +60,7 @@ class RadioScheduler {
   [[nodiscard]] std::uint64_t denied() const { return denied_; }
   [[nodiscard]] std::size_t active_claims() const { return claims().size(); }
 
-  [[nodiscard]] static constexpr sim::TimePoint never() {
-    return sim::TimePoint::from_ns(std::numeric_limits<std::int64_t>::max());
-  }
+  [[nodiscard]] static constexpr sim::TimePoint never() { return sim::TimePoint::never(); }
 
  private:
   struct Claim {

@@ -18,13 +18,23 @@ Controller& BleWorld::add_node(NodeId id, double drift_ppm, ControllerConfig con
   if (by_id_.find(id) != by_id_.end()) {
     throw std::invalid_argument{"BleWorld: duplicate node id " + std::to_string(id)};
   }
-  Controller& ref = *arena_.make<Controller>(sim_, *this, id,
-                                             sim::SleepClock{drift_ppm},
-                                             std::move(config));
+  Controller& ref = *arena_.make<Controller>(
+      sim_, *this, id, static_cast<std::uint32_t>(nodes_.size()),
+      sim::SleepClock{drift_ppm}, std::move(config));
   nodes_.push_back(&ref);
   by_id_[id] = &ref;
   ref.scheduler().set_recorder(recorder_, id);
   return ref;
+}
+
+void BleWorld::set_link_per(std::function<double(NodeId, NodeId)> fn) {
+  if (!fn) {
+    set_link_per(LinkPerFn{});
+    return;
+  }
+  set_link_per([this, fn = std::move(fn)](NodeId a, NodeId b) {
+    return phy::LinkPer{fn(a, b), sim_.now()};
+  });
 }
 
 void BleWorld::set_recorder(obs::Recorder* recorder) {
@@ -103,7 +113,7 @@ void BleWorld::route_adv_event(Controller& advertiser, sim::TimePoint t,
   for_each_receiver([&](Controller& c) {
     if (!c.is_observing()) return false;
     if (!c.scanner_hears(t, duration)) return false;
-    if (rng_.chance(link_per(advertiser.id(), c.id()))) return false;  // out of range
+    if (rng_.chance(link_per(advertiser.id(), c.id()).per)) return false;  // out of range
     c.notify_observed(advertiser.id(), advertiser.adv_data());
     return false;
   });
@@ -111,7 +121,7 @@ void BleWorld::route_adv_event(Controller& advertiser, sim::TimePoint t,
     const ConnParams* params = c.initiating_params(advertiser.id());
     if (params == nullptr) return false;
     if (!c.scanner_hears(t, duration)) return false;
-    if (rng_.chance(link_per(advertiser.id(), c.id()))) return false;  // out of range
+    if (rng_.chance(link_per(advertiser.id(), c.id()).per)) return false;  // out of range
 
     // CONNECT_IND: the initiator becomes coordinator and dictates the anchor
     // inside the transmit window — the random phase that redistributes link

@@ -5,6 +5,7 @@
 // events to interested initiators, and hands out per-link statistics.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "ble/connection.hpp"
 #include "ble/ll_types.hpp"
 #include "phy/channel_model.hpp"
+#include "phy/link_per.hpp"
 #include "sim/arena.hpp"
 #include "sim/ids.hpp"
 #include "sim/rng.hpp"
@@ -75,18 +77,29 @@ class BleWorld {
   /// Allocation telemetry for the scale benches.
   [[nodiscard]] const sim::Arena& arena() const { return arena_; }
 
-  /// Optional pairwise link-quality model (mobility extension): returns an
-  /// additional PER in [0,1] for the pair — 0 keeps the testbed's
-  /// "all nodes in range" default, 1 means out of range. Combined
-  /// multiplicatively with the per-channel model.
-  using LinkPerFn = std::function<double(NodeId, NodeId)>;
-  void set_link_per(LinkPerFn fn) { link_per_ = std::move(fn); }
+  /// Optional pairwise link-quality model (geometry, mobility, fault
+  /// windows): an additional PER in [0,1] for the pair — 0 keeps the
+  /// testbed's "all nodes in range" default, 1 means out of range. Combined
+  /// multiplicatively with the per-channel model. The model also reports
+  /// until when its answer holds (phy/link_per.hpp); connections keep the
+  /// answer until then. Installing a model invalidates every kept answer.
+  using LinkPerFn = phy::LinkPerFn;
+  void set_link_per(LinkPerFn fn) {
+    link_per_ = std::move(fn);
+    ++link_model_version_;
+  }
+  /// A plain PER hook says nothing about when its value changes, so its
+  /// answers hold only until now: connections ask it on every exchange.
+  void set_link_per(std::function<double(NodeId, NodeId)> fn);
   /// The raw installed hook (null when unset); lets a fault injector compose
   /// its own windows over a pre-existing model instead of replacing it.
   [[nodiscard]] const LinkPerFn& link_per_fn() const { return link_per_; }
-  [[nodiscard]] double link_per(NodeId a, NodeId b) const {
-    return link_per_ ? link_per_(a, b) : 0.0;
+  [[nodiscard]] phy::LinkPer link_per(NodeId a, NodeId b) const {
+    return link_per_ ? link_per_(a, b) : phy::LinkPer{};
   }
+  /// Bumped by every set_link_per; a connection's kept answer is stale once
+  /// this moves.
+  [[nodiscard]] std::uint32_t link_model_version() const { return link_model_version_; }
 
   /// Optional per-node advertising candidate tables (the topo subsystem's
   /// spatial index). When installed, route_adv_event iterates only the
@@ -141,6 +154,7 @@ class BleWorld {
 
  private:
   obs::Recorder* recorder_{nullptr};
+  std::uint32_t link_model_version_{0};
   LinkPerFn link_per_;
   sim::Simulator& sim_;
   phy::ChannelModel channel_model_;

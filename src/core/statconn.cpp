@@ -15,14 +15,6 @@ namespace {
 // rather than its node id: ids are labels, and a monotone relabeling of the
 // topology must reproduce the run bit-for-bit (pinned by test_metamorphic).
 constexpr std::uint64_t kBackoffStreamBase = 0x0B0FF'0000ULL;
-
-std::uint64_t creation_index(const ble::BleWorld& world, const ble::Controller& ctrl) {
-  const auto& nodes = world.nodes();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i] == &ctrl) return i;
-  }
-  return nodes.size();
-}
 }  // namespace
 
 Statconn::Statconn(NimbleNetif& netif, StatconnConfig config)
@@ -30,7 +22,7 @@ Statconn::Statconn(NimbleNetif& netif, StatconnConfig config)
       ctrl_{netif.controller()},
       config_{config},
       backoff_rng_{ctrl_.world().simulator().make_rng(
-          kBackoffStreamBase + creation_index(ctrl_.world(), ctrl_))} {
+          kBackoffStreamBase + ctrl_.creation_index())} {
   if (config_.policy.is_randomized()) config_.enforce_unique_intervals = true;
   netif_.add_link_listener(
       [this](ble::Connection& conn, bool up, ble::DisconnectReason reason) {

@@ -69,27 +69,38 @@ void FaultInjector::arm(std::vector<FaultEvent> plan) {
 
 void FaultInjector::install_link_hook() {
   prev_link_per_ = world_->link_per_fn();
-  // Combine failure probabilities: surviving both hazards independently.
+  // Combine failure probabilities: surviving both hazards independently. The
+  // sum holds until either part can change.
   world_->set_link_per([this](NodeId a, NodeId b) {
-    const double prev = prev_link_per_ ? prev_link_per_(a, b) : 0.0;
-    const double extra = windowed_link_per(a, b);
-    return 1.0 - (1.0 - prev) * (1.0 - extra);
+    const phy::LinkPer prev = prev_link_per_ ? prev_link_per_(a, b) : phy::LinkPer{};
+    const phy::LinkPer extra = windowed_link_per(a, b);
+    return phy::LinkPer{1.0 - (1.0 - prev.per) * (1.0 - extra.per),
+                        sim::min(prev.valid_until, extra.valid_until)};
   });
 }
 
-double FaultInjector::windowed_link_per(NodeId a, NodeId b) const {
+phy::LinkPer FaultInjector::windowed_link_per(NodeId a, NodeId b) const {
+  // A window is open for begin <= now < end, by time alone: a connection
+  // event at an edge instant sees the same value whether it fires before or
+  // after begin_fault/end_fault. The value can next change at the earliest
+  // edge of this link's windows after now.
   const sim::TimePoint now = sim_.now();
-  double per = 0.0;
+  phy::LinkPer out;
   for (const InjectedFault& f : timeline_) {
     if (f.event.kind != FaultKind::kBlackout && f.event.kind != FaultKind::kAttenuate) {
       continue;
     }
     const bool same_link = (f.event.node == a && f.event.peer == b) ||
                            (f.event.node == b && f.event.peer == a);
-    if (!same_link || now < f.begin || now >= f.end) continue;
-    per = std::max(per, f.event.per);
+    if (!same_link) continue;
+    if (now < f.begin) {
+      out.valid_until = sim::min(out.valid_until, f.begin);
+    } else if (now < f.end) {
+      out.valid_until = sim::min(out.valid_until, f.end);
+      out.per = std::max(out.per, f.event.per);
+    }
   }
-  return per;
+  return out;
 }
 
 void FaultInjector::record_fault(const InjectedFault& f, std::size_t index,

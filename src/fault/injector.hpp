@@ -18,6 +18,7 @@
 #include "ble/world.hpp"
 #include "fault/spec.hpp"
 #include "net/pktbuf.hpp"
+#include "phy/link_per.hpp"
 #include "sim/ids.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -71,7 +72,7 @@ class FaultInjector {
   void begin_fault(std::size_t index);
   void end_fault(std::size_t index);
   void install_link_hook();
-  [[nodiscard]] double windowed_link_per(NodeId a, NodeId b) const;
+  [[nodiscard]] phy::LinkPer windowed_link_per(NodeId a, NodeId b) const;
   void record_fault(const InjectedFault& f, std::size_t index, bool begin);
 
   sim::Simulator& sim_;

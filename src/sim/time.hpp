@@ -8,6 +8,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -77,6 +78,10 @@ class TimePoint {
   constexpr TimePoint() = default;
   [[nodiscard]] static constexpr TimePoint from_ns(std::int64_t v) { return TimePoint{v}; }
   [[nodiscard]] static constexpr TimePoint origin() { return TimePoint{0}; }
+  /// Later than every reachable instant.
+  [[nodiscard]] static constexpr TimePoint never() {
+    return TimePoint{std::numeric_limits<std::int64_t>::max()};
+  }
 
   [[nodiscard]] constexpr std::int64_t count_ns() const { return ns_; }
   [[nodiscard]] constexpr Duration since_origin() const { return Duration::ns(ns_); }

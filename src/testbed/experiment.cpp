@@ -1,5 +1,6 @@
 #include "testbed/experiment.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -68,8 +69,11 @@ void Experiment::build_backend() {
       auto backend = std::make_unique<mesh::MeshBackend>(
           sim_, config_.mesh, config_.radio, config_.base_per, &recorder_);
       if (geo_) {
+        // The mesh world asks per candidate and keeps no answers, so it takes
+        // the plain PER.
         backend->world().set_link_per(
-            topo::make_geometric_link_per(geo_->placement, config_.topo));
+            [geometric = topo::make_geometric_link_per(geo_->placement, config_.topo)](
+                NodeId a, NodeId b) { return geometric(a, b).per; });
         // Flooding propagates to every physically hearable node, so the mesh
         // world needs radio-range tables (geo_->neighbors only spans the
         // planning range the connection-oriented backends route within).
@@ -157,6 +161,12 @@ void Experiment::install_routes() {
     // through this node, the hop below it is the next hop (cached by the
     // routing table); otherwise the default route toward the parent applies.
     // Route contents are identical to the eager build (asserted by tests).
+    // The walk reads an id-indexed copy of the parent map (kInvalidNode for
+    // the root and for ids outside the tree) instead of a map lookup per hop.
+    NodeId max_id = 0;
+    for (const NodeId id : topo.nodes) max_id = std::max(max_id, id);
+    route_parent_.assign(std::size_t{max_id} + 1, kInvalidNode);
+    for (const auto& [child, parent] : topo.parent) route_parent_[child] = parent;
     for (auto& [id, node] : nodes_) {
       if (id != topo.consumer) {
         node.stack->routes().set_default(net::Ipv6Addr::site(topo.parent.at(id)));
@@ -164,26 +174,26 @@ void Experiment::install_routes() {
       const NodeId self = id;
       node.stack->routes().set_resolver(
           [this, self](const net::Ipv6Addr& dst) -> std::optional<net::Ipv6Addr> {
-            const Topology& t = config_.topology;
+            const NodeId root = config_.topology.consumer;
             NodeId cur = dst.node_id();
             if (cur == kInvalidNode) return std::nullopt;
             NodeId below = kInvalidNode;
             std::size_t steps = 0;
-            while (cur != t.consumer && steps++ <= t.nodes.size()) {
+            while (cur != root && steps++ <= route_parent_.size()) {
               if (cur == self) {
                 if (below == kInvalidNode) return std::nullopt;  // dst == self
                 return net::Ipv6Addr::site(below);
               }
-              const auto it = t.parent.find(cur);
-              if (it == t.parent.end()) return std::nullopt;  // unknown node
+              if (cur >= route_parent_.size() || route_parent_[cur] == kInvalidNode) {
+                return std::nullopt;  // unknown node
+              }
               below = cur;
-              cur = it->second;
+              cur = route_parent_[cur];
             }
             // Reached the root without passing through self: not in our
             // subtree — unless we *are* the root, whose child toward dst is
             // the hop below it on the walk.
-            if (cur == t.consumer && self == t.consumer &&
-                below != kInvalidNode) {
+            if (cur == root && self == root && below != kInvalidNode) {
               return net::Ipv6Addr::site(below);
             }
             return std::nullopt;

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ble/world.hpp"
 #include "core/interval_policy.hpp"
@@ -245,6 +246,9 @@ class Experiment {
   mesh::MeshBackend* mesh_backend_{nullptr};
   sim::Arena arena_;
   std::map<NodeId, Node> nodes_;
+  // Generated worlds: topology.parent as an id-indexed vector for the lazy
+  // route resolvers' tree walk (see install_routes).
+  std::vector<NodeId> route_parent_;
   std::unique_ptr<Consumer> consumer_;
   std::unique_ptr<fault::FaultInjector> injector_;
   bool ran_{false};

@@ -66,7 +66,7 @@ double RandomWaypointMobility::distance_between(NodeId a, NodeId b) const {
 ble::BleWorld::LinkPerFn make_link_per(const RandomWaypointMobility& mob,
                                        RangeModel range) {
   return [&mob, range](NodeId a, NodeId b) {
-    return range.per(mob.distance_between(a, b));
+    return phy::LinkPer{range.per(mob.distance_between(a, b)), mob.simulator().now()};
   };
 }
 

@@ -55,6 +55,7 @@ class RandomWaypointMobility {
   [[nodiscard]] Vec2 position(NodeId node) const;
   [[nodiscard]] double distance_between(NodeId a, NodeId b) const;
   [[nodiscard]] bool is_mobile(NodeId node) const { return mobiles_.count(node) > 0; }
+  [[nodiscard]] sim::Simulator& simulator() const { return sim_; }
 
  private:
   struct Mobile {
@@ -90,6 +91,7 @@ struct RangeModel {
 };
 
 /// Builds the BleWorld link-PER hook from a mobility model and a range model.
+/// Mobile nodes move on every tick, so an answer holds only until now.
 [[nodiscard]] ble::BleWorld::LinkPerFn make_link_per(const RandomWaypointMobility& mob,
                                                      RangeModel range);
 

@@ -37,13 +37,13 @@ double max_radio_range(const TopoSpec& spec) {
   return std::pow(10.0, budget / (10.0 * spec.path_loss_exp));
 }
 
-std::function<double(NodeId, NodeId)> make_geometric_link_per(
-    std::shared_ptr<const Placement> placement, const TopoSpec& spec) {
-  // The hook runs once per connection event on every link, so at 10k nodes
-  // it fires millions of times a simulated minute. When the id space is the
-  // dense 1..N the generators emit, resolve positions through a flat array
-  // instead of Placement::position's per-call binary search. Wall-free
-  // deployments skip the wall loop entirely.
+phy::LinkPerFn make_geometric_link_per(std::shared_ptr<const Placement> placement,
+                                       const TopoSpec& spec) {
+  // The hook runs on the advertising path and whenever a connection first
+  // asks about its link. When the id space is the dense 1..N the generators
+  // emit, resolve positions through a flat array instead of
+  // Placement::position's per-call binary search. Wall-free deployments skip
+  // the wall loop entirely. A default LinkPer holds forever.
   const bool dense = !placement->ids.empty() &&
                      placement->ids.front() == 1 &&
                      placement->ids.back() == placement->ids.size();
@@ -51,7 +51,7 @@ std::function<double(NodeId, NodeId)> make_geometric_link_per(
     return [placement = std::move(placement), spec](NodeId a, NodeId b) {
       const Point& pa = placement->positions[a - 1];
       const Point& pb = placement->positions[b - 1];
-      return margin_to_per(spec, link_margin_db(spec, distance(pa, pb), 0));
+      return phy::LinkPer{margin_to_per(spec, link_margin_db(spec, distance(pa, pb), 0))};
     };
   }
   if (dense) {
@@ -59,11 +59,11 @@ std::function<double(NodeId, NodeId)> make_geometric_link_per(
       const Point& pa = placement->positions[a - 1];
       const Point& pb = placement->positions[b - 1];
       const unsigned walls = wall_crossings(pa, pb, placement->walls);
-      return margin_to_per(spec, link_margin_db(spec, distance(pa, pb), walls));
+      return phy::LinkPer{margin_to_per(spec, link_margin_db(spec, distance(pa, pb), walls))};
     };
   }
   return [placement = std::move(placement), spec](NodeId a, NodeId b) {
-    return link_per(spec, *placement, a, b);
+    return phy::LinkPer{link_per(spec, *placement, a, b)};
   };
 }
 

@@ -6,9 +6,9 @@
 // multiplicatively with the per-channel phy::ChannelModel (WLAN interference,
 // jammed channel 22), exactly like the mobility range model does.
 
-#include <functional>
 #include <memory>
 
+#include "phy/link_per.hpp"
 #include "sim/ids.hpp"
 #include "topo/placement.hpp"
 #include "topo/spec.hpp"
@@ -37,9 +37,10 @@ namespace mgap::topo {
 /// advertisement.
 [[nodiscard]] double max_radio_range(const TopoSpec& spec);
 
-/// Builds the BleWorld link-PER hook. The placement is shared, not copied:
-/// the hook is called on the advertising hot path.
-[[nodiscard]] std::function<double(NodeId, NodeId)> make_geometric_link_per(
+/// Builds the BleWorld link-PER hook. Nodes do not move, so every answer
+/// holds forever. The placement is shared, not copied: the hook is called on
+/// the advertising hot path.
+[[nodiscard]] phy::LinkPerFn make_geometric_link_per(
     std::shared_ptr<const Placement> placement, const TopoSpec& spec);
 
 }  // namespace mgap::topo

@@ -228,9 +228,10 @@ TEST(TopoChannel, LinkPerSymmetricAndWallAware) {
       std::make_shared<const topo::Placement>(p), spec);
   for (const NodeId a : {1u, 7u, 20u}) {
     for (const NodeId b : {3u, 14u, 36u}) {
-      EXPECT_DOUBLE_EQ(hook(a, b), hook(b, a));
-      EXPECT_GE(hook(a, b), 0.0);
-      EXPECT_LE(hook(a, b), 1.0);
+      EXPECT_DOUBLE_EQ(hook(a, b).per, hook(b, a).per);
+      EXPECT_GE(hook(a, b).per, 0.0);
+      EXPECT_LE(hook(a, b).per, 1.0);
+      EXPECT_EQ(hook(a, b).valid_until, sim::TimePoint::never());  // nodes never move
     }
   }
 }
