@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -154,15 +155,38 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) {
   if (threads <= 1) {
     for (std::size_t i = 0; i < n_cells; ++i) run_cell(i);
   } else {
+    // A cell that throws must not take the process down (an exception
+    // escaping a std::thread calls std::terminate). Workers keep the failure
+    // of the lowest failing cell index and skip cells above it; after the
+    // join it is rethrown — the cell a serial run stops at, so the error is
+    // the same at every thread count.
+    std::mutex failure_mutex;
+    std::size_t first_failed = n_cells;
+    std::exception_ptr failure;
     std::vector<std::thread> workers;
     workers.reserve(threads);
     for (unsigned w = 0; w < threads; ++w) {
       workers.emplace_back([&, w] {
         std::size_t cell_index;
-        while (queue.pop(w, cell_index)) run_cell(cell_index);
+        while (queue.pop(w, cell_index)) {
+          {
+            std::lock_guard<std::mutex> lock{failure_mutex};
+            if (cell_index > first_failed) continue;
+          }
+          try {
+            run_cell(cell_index);
+          } catch (...) {
+            std::lock_guard<std::mutex> lock{failure_mutex};
+            if (cell_index < first_failed) {
+              first_failed = cell_index;
+              failure = std::current_exception();
+            }
+          }
+        }
       });
     }
     for (std::thread& worker : workers) worker.join();
+    if (failure) std::rethrow_exception(failure);
   }
 
   result.aggregates.reserve(result.configs.size());

@@ -52,6 +52,8 @@ class CampaignRunner {
   explicit CampaignRunner(RunnerOptions options = {});
 
   /// Expands the grid and runs every cell; blocks until the campaign is done.
+  /// When cells throw, rethrows the exception of the lowest failing cell
+  /// index — the one a serial run stops at — at every thread count.
   [[nodiscard]] CampaignResult run(const CampaignSpec& spec);
 
  private:

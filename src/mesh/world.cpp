@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "phy/ble_phy.hpp"
 
@@ -46,13 +47,55 @@ MeshNetif& MeshWorld::add_node(NodeId id) {
             std::floor(static_cast<double>(n.creation_index + 1) * f) >
                 std::floor(static_cast<double>(n.creation_index) * f);
   n.netif = std::make_unique<MeshNetif>(*this, id);
+  n.cache = MessageCache{cfg_.cache_entries};
   auto [it, inserted] = nodes_.emplace(id, std::move(owned));
   if (!inserted) throw std::invalid_argument{"mesh: duplicate node id"};
   order_.push_back(id);
+  resolved_ = false;
   return *it->second->netif;
 }
 
+void MeshWorld::set_receivers(ReceiverRows rows) {
+  for (const auto& [id, row] : rows) {
+    const std::string where = "mesh: receiver row of node " + std::to_string(id);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (row[i].id == id) throw std::invalid_argument{where + " names the node itself"};
+      if (i > 0 && row[i].id <= row[i - 1].id) {
+        throw std::invalid_argument{where + " is not strictly ascending by id"};
+      }
+      if (!(row[i].per >= 0.0 && row[i].per < 1.0)) {
+        throw std::invalid_argument{where + " holds a PER outside [0, 1)"};
+      }
+    }
+  }
+  rows_ = std::move(rows);
+  resolved_ = false;
+}
+
+void MeshWorld::resolve_rows() {
+  const auto find = [this](NodeId id) -> MeshNode* {
+    const auto it = nodes_.find(id);
+    if (it == nodes_.end()) {
+      throw std::invalid_argument{"mesh: receiver rows name unknown node " +
+                                  std::to_string(id)};
+    }
+    return it->second.get();
+  };
+  everyone_.clear();
+  for (const auto& [id, n] : nodes_) {
+    everyone_.push_back(Peer{id, 0.0, n.get()});
+    n->row.clear();
+  }
+  for (const auto& [id, row] : rows_) {
+    MeshNode* owner = find(id);
+    owner->row.reserve(row.size());
+    for (const Receiver& r : row) owner->row.push_back(Peer{r.id, r.per, find(r.id)});
+  }
+  resolved_ = true;
+}
+
 void MeshWorld::start() {
+  resolve_rows();
   if (cfg_.heartbeat_period.is_zero()) return;
   // Deterministic phase stagger over the creation order, so the fleet's
   // heartbeats do not synchronize into one collision burst.
@@ -83,16 +126,11 @@ std::uint8_t MeshWorld::scan_channel(const MeshNode& n) const {
       phy::kFirstAdvChannel + (slot + n.creation_index) % phy::kNumAdvChannels);
 }
 
-bool MeshWorld::cache_check_insert(MeshNode& n, NodeId src, std::uint32_t seq) {
-  const std::uint64_t key = cache_key(src, seq);
-  if (n.cache.contains(key)) return true;
-  n.cache.insert(key);
-  n.cache_fifo.push_back(key);
-  if (n.cache_fifo.size() > cfg_.cache_entries) {
-    n.cache.erase(n.cache_fifo.front());
-    n.cache_fifo.pop_front();
-  }
-  return false;
+bool MeshWorld::in_range(const MeshNode& o, NodeId r) const {
+  if (rows_.empty()) return true;
+  const auto it = std::lower_bound(o.row.begin(), o.row.end(), r,
+                                   [](const Peer& p, NodeId id) { return p.id < id; });
+  return it != o.row.end() && it->id == r;
 }
 
 void MeshWorld::enqueue_copies(MeshNode& n, const NetworkPdu& pdu) {
@@ -113,12 +151,10 @@ void MeshWorld::schedule_tx(MeshNode& n) {
   // heard the same PDU at the same instant.
   const sim::Duration gap =
       rng_.uniform_duration(cfg_.adv_interval / 2, cfg_.adv_interval * 3 / 2);
-  const NodeId id = n.id;
-  sim_.schedule_in(gap, [this, id] { tx_fire(id); });
+  sim_.schedule_in(gap, [this, &n] { tx_fire(n); });
 }
 
-void MeshWorld::tx_fire(NodeId id) {
-  MeshNode& n = node(id);
+void MeshWorld::tx_fire(MeshNode& n) {
   n.tx_scheduled = false;
   if (!n.radio_on || n.queue.empty()) return;
   NetworkPdu pdu = std::move(n.queue.front());
@@ -131,82 +167,65 @@ void MeshWorld::tx_fire(NodeId id) {
   const sim::TimePoint horizon = start - phy::kAdvEventDuration * 2;
   std::erase_if(active_tx_,
                 [horizon](const TxWindow& w) { return w.end < horizon; });
-  active_tx_.push_back(TxWindow{id, start, end});
+  active_tx_.push_back(TxWindow{&n, start, end});
 
-  sim_.schedule_at(end, [this, id, pdu = std::move(pdu), start, end] {
-    deliver(id, pdu, start, end);
+  sim_.schedule_at(end, [this, &n, pdu = std::move(pdu), start, end] {
+    deliver(n, pdu, start, end);
   });
   if (!n.queue.empty()) schedule_tx(n);
   maybe_signal_writable(n);
 }
 
-void MeshWorld::deliver(NodeId tx, const NetworkPdu& pdu, sim::TimePoint start,
+void MeshWorld::deliver(MeshNode& t, const NetworkPdu& pdu, sim::TimePoint start,
                         sim::TimePoint end) {
-  // Candidate receivers: the transmitter's radio-range neighbors when a
-  // neighbor table exists, else every node. Ascending id either way.
-  const std::vector<NodeId>* table = nullptr;
-  if (!neighbors_.empty()) {
-    auto it = neighbors_.find(tx);
-    if (it == neighbors_.end()) return;
-    table = &it->second;
+  if (!resolved_) resolve_rows();
+  // Half-duplex + collisions. An adv event cycles channels 37->38->39, one
+  // third of the event each; the scanner captures only its channel's
+  // portion. Two events therefore collide at a receiver only when their
+  // same-channel thirds overlap — i.e. their starts lie within a third of an
+  // event of each other — and the interferer is in the receiver's range. A
+  // receiver that was itself transmitting anywhere in the window hears
+  // nothing (half-duplex, full event). Receptions schedule but never start
+  // transmissions, so the windows that can matter are picked once here.
+  const sim::Duration third = phy::kAdvEventDuration / 3;
+  interferers_.clear();
+  for (const TxWindow& o : active_tx_) {
+    if (o.node == &t && o.start == start) continue;  // our own window
+    const sim::Duration skew = o.start < start ? start - o.start : o.start - start;
+    const bool overlaps = o.start < end && o.end > start;
+    if (skew < third || overlaps) interferers_.push_back({o.node, skew < third, overlaps});
   }
-  const auto process = [&](NodeId rid) {
-    if (rid == tx) return;
-    MeshNode& r = node(rid);
-    if (!r.radio_on) return;
-    const double per = link_per(tx, rid);
-    if (per >= 1.0) return;  // out of radio range
+  // Receivers: the transmitter's row when rows are set, else every node.
+  // Ascending id either way.
+  for (const Peer& p : rows_.empty() ? everyone_ : t.row) {
+    MeshNode& r = *p.node;
+    if (&r == &t || !r.radio_on) continue;
     ++rx_opportunities_;
 
-    // Half-duplex + collisions. An adv event cycles channels 37->38->39, one
-    // third of the event each; the scanner captures only its channel's
-    // portion. Two events therefore collide at this receiver only when their
-    // same-channel thirds overlap — i.e. their starts lie within a third of
-    // an event of each other — and the interferer is in the receiver's range.
-    // A receiver that was itself transmitting anywhere in the window hears
-    // nothing (half-duplex, full event).
-    const sim::Duration third = phy::kAdvEventDuration / 3;
     bool lost_overlap = false;
-    for (const TxWindow& o : active_tx_) {
-      if (o.node == tx && o.start == start) continue;  // our own window
-      if (o.node == rid) {
-        if (o.start < end && o.end > start) {
-          lost_overlap = true;
-          break;
-        }
-        continue;
-      }
-      const sim::Duration skew = o.start < start ? start - o.start : o.start - start;
-      if (skew >= third) continue;
-      if (in_range(o.node, rid)) {
-        lost_overlap = true;
-        break;
-      }
+    for (const Interferer& o : interferers_) {
+      lost_overlap = o.node == &r ? o.overlaps : o.close && in_range(*o.node, r.id);
+      if (lost_overlap) break;
     }
     if (lost_overlap) {
       ++r.stats.collisions;
-      return;
+      continue;
     }
-    if (per > 0.0 && rng_.chance(per)) {
+    if (p.per > 0.0 && rng_.chance(p.per)) {
       ++r.stats.fade_losses;
-      return;
+      continue;
     }
     const double cper = channels_.per(scan_channel(r));
     if (cper > 0.0 && rng_.chance(cper)) {
       ++r.stats.chan_losses;
-      return;
+      continue;
     }
     if (cfg_.scan_duty < 1.0 && rng_.chance(1.0 - cfg_.scan_duty)) {
       ++r.stats.duty_misses;
-      return;
+      continue;
     }
     ++rx_heard_;
     network_rx(r, pdu);
-  };
-  if (table) {
-    for (const NodeId rid : *table) process(rid);
-  } else {
-    for (const auto& [rid, unused] : nodes_) process(rid);
   }
 }
 
@@ -216,7 +235,7 @@ void MeshWorld::network_rx(MeshNode& r, const NetworkPdu& pdu) {
     // No relaying, no promiscuous processing: only the addressed next hop
     // consumes; the cache still kills transmit_count duplicates.
     if (pdu.dst != r.id) return;
-    if (cache_check_insert(r, pdu.src, pdu.seq)) {
+    if (r.cache.check_insert(cache_key(pdu.src, pdu.seq))) {
       ++r.stats.cache_hits;
       return;
     }
@@ -225,7 +244,7 @@ void MeshWorld::network_rx(MeshNode& r, const NetworkPdu& pdu) {
   }
 
   if (pdu.src == r.id) return;  // own flood echoed back
-  if (cache_check_insert(r, pdu.src, pdu.seq)) {
+  if (r.cache.check_insert(cache_key(pdu.src, pdu.seq))) {
     ++r.stats.cache_hits;
     if (rec_ && rec_->wants(obs::EventType::kMeshCacheHit)) {
       obs::Event e;
@@ -375,7 +394,7 @@ bool MeshWorld::origin_send(NodeId id, NodeId dst,
     const std::size_t hi = std::min(frame.size(), lo + kSegPayload);
     pdu.payload.assign(frame.begin() + static_cast<std::ptrdiff_t>(lo),
                        frame.begin() + static_cast<std::ptrdiff_t>(hi));
-    if (mode_ == Mode::kFlood) cache_check_insert(n, id, pdu.seq);
+    if (mode_ == Mode::kFlood) n.cache.check_insert(cache_key(id, pdu.seq));
     ++n.stats.originated;
     ++n.stats.seg_tx;
     if (rec_ && rec_->wants(obs::EventType::kMeshSegment)) {
@@ -413,7 +432,7 @@ void MeshWorld::originate_heartbeat(NodeId id) {
     pdu.ttl = cfg_.ttl;
     pdu.init_ttl = cfg_.ttl;
     pdu.heartbeat = true;
-    cache_check_insert(n, id, pdu.seq);
+    n.cache.check_insert(cache_key(id, pdu.seq));
     ++n.stats.heartbeat_tx;
     enqueue_copies(n, pdu);
   }

@@ -5,15 +5,16 @@
 // node of an experiment:
 //   * advertising bearer: each transmission is one ~1 ms advertising event
 //     (phy::kAdvEventDuration) on channels 37-39; receivers are the nodes in
-//     radio range (topo geometric channel when present). A reception is lost
-//     to the pairwise link PER, to the adv-channel PER of the receiver's
-//     current scan channel, or to a *collision* — any overlapping adv event
-//     from another in-range transmitter. Nothing is assumed away: flooding
-//     self-interference emerges from the same channel models the
-//     connection-oriented backend uses.
+//     radio range, read from the transmitter's receiver row (set_receivers;
+//     the experiment builds the rows from the geometric channel). A
+//     reception is lost to the pairwise link PER, to the adv-channel PER of
+//     the receiver's current scan channel, or to a *collision* — any
+//     overlapping adv event from another in-range transmitter. Nothing is
+//     assumed away: flooding self-interference emerges from the same channel
+//     models the connection-oriented backend uses.
 //   * network layer: relay with TTL decrement, network message cache
-//     (SRC+SEQ dedup, FIFO), per-node relay feature spread deterministically
-//     to match mesh.relay_density.
+//     (SRC+SEQ dedup, FIFO; mesh::MessageCache), per-node relay feature
+//     spread deterministically to match mesh.relay_density.
 //   * lower transport: 12-byte segmentation/reassembly so IP-sized SDUs ride
 //     on advertising PDUs; bounded reassembly table with oldest-first
 //     eviction.
@@ -33,10 +34,10 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
+#include "mesh/message_cache.hpp"
 #include "mesh/spec.hpp"
 #include "net/netif.hpp"
 #include "obs/events.hpp"
@@ -121,7 +122,14 @@ class MeshWorld {
     kDirect,  // IPv6 over advertisements: no relay, next-hop addressing
   };
 
-  using LinkPerFn = std::function<double(NodeId, NodeId)>;
+  /// One peer a node's advertising events reach, with the pair's link PER.
+  struct Receiver {
+    NodeId id{0};
+    double per{0.0};
+  };
+  /// Per transmitting node, the peers it reaches, ascending by id. A row
+  /// holds only pairs with PER < 1; a node without a row reaches no one.
+  using ReceiverRows = std::map<NodeId, std::vector<Receiver>>;
 
   MeshWorld(sim::Simulator& sim, MeshConfig config, Mode mode,
             phy::ChannelModel channels);
@@ -130,19 +138,20 @@ class MeshWorld {
   MeshWorld& operator=(const MeshWorld&) = delete;
 
   void set_recorder(obs::Recorder* rec) { rec_ = rec; }
-  /// Pairwise geometric link PER (topo channel); unset means lossless range.
-  void set_link_per(LinkPerFn fn) { link_per_ = std::move(fn); }
-  /// Radio-range neighbor candidates per node (ascending id per row); unset
-  /// means every node is a candidate receiver.
-  void set_neighbor_table(std::map<NodeId, std::vector<NodeId>> table) {
-    neighbors_ = std::move(table);
-  }
+  /// The radio graph. Without rows every other node is a receiver at PER 0.
+  /// An interferer collides at a receiver only when the receiver is in the
+  /// *interferer's* row, so the rows must hold every pair with PER < 1.
+  /// Throws std::invalid_argument on a row that is not strictly ascending,
+  /// names its own node or holds a PER outside [0, 1); rows naming a node
+  /// that was never added are rejected when they are resolved (start()).
+  void set_receivers(ReceiverRows rows);
 
   /// Creates the node's mesh state + netif. Relay election happens here, by
   /// creation index, so exactly floor(n * relay_density) of n nodes relay
   /// regardless of their ids.
   MeshNetif& add_node(NodeId id);
-  /// Schedules heartbeat publication (no-op when mesh.heartbeat is 0).
+  /// Resolves the receiver rows against the added nodes and schedules
+  /// heartbeat publication (none when mesh.heartbeat is 0).
   void start();
 
   /// Test/experiment override of the per-node relay feature.
@@ -178,6 +187,15 @@ class MeshWorld {
     std::vector<bool> have;
   };
 
+  struct MeshNode;
+
+  /// A receiver row entry resolved to its node.
+  struct Peer {
+    NodeId id{0};
+    double per{0.0};
+    MeshNode* node{nullptr};
+  };
+
   struct MeshNode {
     NodeId id{0};
     std::uint64_t creation_index{0};
@@ -188,37 +206,40 @@ class MeshWorld {
     bool tx_scheduled{false};
     std::uint32_t seq{0};
     std::uint32_t msg_tag{0};
-    // Network message cache: FIFO ring over (src, seq) with set lookup.
-    std::deque<std::uint64_t> cache_fifo;
-    std::set<std::uint64_t> cache;
+    MessageCache cache;  // network message cache over (src, seq)
+    std::vector<Peer> row;  // resolved receiver row (when rows are set)
     std::map<std::uint64_t, Reasm> reasm;
     std::set<NodeId> blocked;  // next hops awaiting a writable signal
     MeshNodeStats stats;
   };
 
   struct TxWindow {
-    NodeId node{0};
+    const MeshNode* node{nullptr};
     sim::TimePoint start;
     sim::TimePoint end;
   };
 
+  /// Another window as one delivery sees it: its start lies within a third
+  /// of an event (`close`), and/or it overlaps the delivered event.
+  struct Interferer {
+    const MeshNode* node{nullptr};
+    bool close{false};
+    bool overlaps{false};
+  };
+
   MeshNode& node(NodeId id);
-  [[nodiscard]] double link_per(NodeId a, NodeId b) const {
-    return link_per_ ? link_per_(a, b) : 0.0;
-  }
-  [[nodiscard]] bool in_range(NodeId a, NodeId b) const {
-    return link_per(a, b) < 1.0;
-  }
+  /// Builds every node's Peer row (or the all-nodes row) from the inputs.
+  void resolve_rows();
+  /// True when `r` is in `o`'s receiver row: `o`'s events reach `r`.
+  [[nodiscard]] bool in_range(const MeshNode& o, NodeId r) const;
   /// The advertising channel `n`'s scanner currently listens on: nodes
   /// rotate through 37-39, phase-offset by creation index.
   [[nodiscard]] std::uint8_t scan_channel(const MeshNode& n) const;
 
-  /// True (and cached) when (src, seq) was already seen by `n`.
-  bool cache_check_insert(MeshNode& n, NodeId src, std::uint32_t seq);
   void enqueue_copies(MeshNode& n, const NetworkPdu& pdu);
   void schedule_tx(MeshNode& n);
-  void tx_fire(NodeId id);
-  void deliver(NodeId tx, const NetworkPdu& pdu, sim::TimePoint start,
+  void tx_fire(MeshNode& n);
+  void deliver(MeshNode& t, const NetworkPdu& pdu, sim::TimePoint start,
                sim::TimePoint end);
   void network_rx(MeshNode& r, const NetworkPdu& pdu);
   void transport_rx(MeshNode& r, const NetworkPdu& pdu);
@@ -233,12 +254,14 @@ class MeshWorld {
   Mode mode_;
   phy::ChannelModel channels_;
   obs::Recorder* rec_{nullptr};
-  LinkPerFn link_per_;
-  std::map<NodeId, std::vector<NodeId>> neighbors_;
+  ReceiverRows rows_;
+  bool resolved_{false};
+  std::vector<Peer> everyone_;  // every node, ascending id (no rows set)
   sim::Rng rng_;
   std::map<NodeId, std::unique_ptr<MeshNode>> nodes_;
   std::vector<NodeId> order_;
   std::vector<TxWindow> active_tx_;
+  std::vector<Interferer> interferers_;  // deliver()'s scratch
   std::uint64_t rx_opportunities_{0};
   std::uint64_t rx_heard_{0};
 };

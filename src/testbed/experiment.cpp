@@ -69,16 +69,24 @@ void Experiment::build_backend() {
       auto backend = std::make_unique<mesh::MeshBackend>(
           sim_, config_.mesh, config_.radio, config_.base_per, &recorder_);
       if (geo_) {
-        // The mesh world asks per candidate and keeps no answers, so it takes
-        // the plain PER.
-        backend->world().set_link_per(
-            [geometric = topo::make_geometric_link_per(geo_->placement, config_.topo)](
-                NodeId a, NodeId b) { return geometric(a, b).per; });
-        // Flooding propagates to every physically hearable node, so the mesh
-        // world needs radio-range tables (geo_->neighbors only spans the
+        // Flooding propagates to every physically hearable node, so the
+        // receiver rows span the radio range (geo_->neighbors only spans the
         // planning range the connection-oriented backends route within).
-        backend->world().set_neighbor_table(geo_->index->neighbor_tables(
-            topo::max_radio_range(config_.topo)));
+        // Every pair with PER < 1 lies within max_radio_range, so the rows
+        // hold all of them, as the world's collision test needs. Nodes do
+        // not move: each PER is computed once, here.
+        const phy::LinkPerFn geometric =
+            topo::make_geometric_link_per(geo_->placement, config_.topo);
+        mesh::MeshWorld::ReceiverRows rows;
+        for (const auto& [id, peers] :
+             geo_->index->neighbor_tables(topo::max_radio_range(config_.topo))) {
+          std::vector<mesh::MeshWorld::Receiver>& row = rows[id];
+          for (const NodeId peer : peers) {
+            const double per = geometric(id, peer).per;
+            if (per < 1.0) row.push_back({peer, per});
+          }
+        }
+        backend->world().set_receivers(std::move(rows));
       }
       mesh_backend_ = backend.get();
       backend_ = std::move(backend);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <thread>
 #include <vector>
@@ -342,6 +343,46 @@ TEST(Runner, CellsMatchStandaloneExperiments) {
   EXPECT_EQ(cell.summary.rtt_p50, expect.rtt_p50);
   EXPECT_EQ(cell.summary.rtt_p99, expect.rtt_p99);
   EXPECT_EQ(cell.rtt.count(), reference.metrics().rtt().count());
+}
+
+// A cell that throws (an RGG world too sparse to form a tree) fails the
+// campaign with the error of the lowest failing cell index — the cell a
+// serial run stops at — at every thread count, instead of std::terminate from
+// a worker thread. Every seed of the sparse configuration fails, and seed 3's
+// message differs from seeds 1 and 2's; the good cells before them run first.
+TEST(Runner, FailingCellRethrowsTheLowestIndexAtEveryThreadCount) {
+  const CampaignSpec spec = parse_campaign_spec(R"(
+campaign = failing_cell
+topo.generator = rgg
+topo.nodes = 30
+topo.density = 8, 0.5
+duration = 5s
+seeds = 3, 1, 2
+)");
+  const auto error_at = [&spec](unsigned threads) -> std::string {
+    RunnerOptions options;
+    options.threads = threads;
+    options.progress = false;
+    try {
+      (void)CampaignRunner{options}.run(spec);
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  // The lowest failing cell is config 1, seed 3.
+  std::string expected = "no error";
+  testbed::ExperimentConfig cfg = expand_grid(spec)[1].config;
+  cfg.seed = 3;
+  try {
+    testbed::Experiment first_failing{cfg};
+  } catch (const std::exception& e) {
+    expected = e.what();
+  }
+  ASSERT_NE(expected, "no error");
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    EXPECT_EQ(error_at(threads), expected) << threads << " thread(s)";
+  }
 }
 
 // The thread-safety audit: two Experiment instances on different threads

@@ -131,21 +131,17 @@ MeshRun run_mesh_line(const std::vector<NodeId>& ids) {
   cfg.transmit_count = 2;
   mesh::MeshWorld world{sim, cfg, mesh::MeshWorld::Mode::kFlood,
                         phy::ChannelModel{0.0}};
-  std::map<NodeId, std::vector<NodeId>> table;
-  std::map<NodeId, std::size_t> pos;
-  for (std::size_t i = 0; i < ids.size(); ++i) pos[ids[i]] = i;
+  mesh::MeshWorld::ReceiverRows rows;
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) table[ids[i]].push_back(ids[i - 1]);
-    if (i + 1 < ids.size()) table[ids[i]].push_back(ids[i + 1]);
+    if (i > 0) rows[ids[i]].push_back({ids[i - 1], 0.0});
+    if (i + 1 < ids.size()) rows[ids[i]].push_back({ids[i + 1], 0.0});
   }
-  // Neighbor rows ascend by id, as the world contract requires.
-  for (auto& [id, row] : table) std::sort(row.begin(), row.end());
-  world.set_neighbor_table(table);
-  world.set_link_per([&pos](NodeId a, NodeId b) {
-    const std::size_t pa = pos.at(a);
-    const std::size_t pb = pos.at(b);
-    return (pa > pb ? pa - pb : pb - pa) == 1 ? 0.0 : 1.0;
-  });
+  // Receiver rows ascend by id, as the world contract requires.
+  for (auto& [id, row] : rows) {
+    std::sort(row.begin(), row.end(),
+              [](const auto& x, const auto& y) { return x.id < y.id; });
+  }
+  world.set_receivers(rows);
   MeshRun out;
   for (const NodeId id : ids) {
     net::Netif& nif = world.add_node(id);

@@ -1,20 +1,25 @@
 // Randomized properties of the procedural topology subsystem: generation is
 // a pure function of (spec, seed, ids) — same seed is bit-identical, a
 // monotone relabel of the node ids moves the labels without moving the
-// geometry or the tree shape, and an unformable deployment fails with the
-// exact same error every time. Each property reproduces from the seed its
+// geometry or the tree shape, an unformable deployment fails with the
+// exact same error every time, and every pair with geometric PER < 1 lies
+// within max_radio_range (the mesh collision rule depends on it). Each property reproduces from the seed its
 // failure report prints (see src/check/property.hpp).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/property.hpp"
+#include "topo/channel.hpp"
 #include "topo/placement.hpp"
+#include "topo/spatial_index.hpp"
 #include "topo/spec.hpp"
 #include "topo/world.hpp"
 
@@ -198,6 +203,45 @@ TEST(TopoProperty, ConnectedTreeOrDeterministicFailure) {
         PROP_ASSERT(it != w.parent.end(), "walk stays inside the tree");
         n = it->second;
         PROP_ASSERT(++steps <= ids.size(), "no cycles on the way up");
+      }
+    }
+  });
+  EXPECT_TRUE(result.ok) << result.report();
+}
+
+// The mesh world's receiver rows are built from SpatialIndex::within at
+// max_radio_range and hold the pairs with PER < 1; a collision is tested by
+// looking the receiver up in the interferer's row. That is exact only if no
+// pair with PER < 1 lies outside the radius, for every link budget and wall
+// layout.
+TEST(TopoProperty, EveryHearablePairLiesWithinMaxRadioRange) {
+  const auto result = check_property("topo-range-coverage", [](check::Gen& g) {
+    topo::TopoSpec spec = gen_spec(g);
+    if (g.boolean(0.3)) spec.generator = topo::Generator::kFloorplan;
+    spec.path_loss_exp = 1.6 + 2.8 * g.real01();
+    spec.tx_power_dbm = -20.0 + 28.0 * g.real01();
+    spec.fade_margin_db = 2.0 + 20.0 * g.real01();
+    spec.validate();
+    const std::uint64_t seed = g.u64(1, 1'000'000);
+    // Dense 1..n ids take the geometric hook's flat-array path; sparse ids
+    // take the Placement::position path.
+    std::vector<NodeId> ids;
+    if (g.boolean()) {
+      for (NodeId id = 1; id <= spec.nodes; ++id) ids.push_back(id);
+    } else {
+      ids = gen_ids(g, spec.nodes);
+    }
+    auto placement = std::make_shared<const topo::Placement>(
+        topo::generate_placement(spec, seed, ids));
+    const topo::SpatialIndex index{*placement, spec.range};
+    const double radius = topo::max_radio_range(spec);
+    const phy::LinkPerFn per = topo::make_geometric_link_per(placement, spec);
+    for (const NodeId a : ids) {
+      const std::vector<NodeId> reach = index.within(a, radius);
+      for (const NodeId b : ids) {
+        if (a == b || per(a, b).per >= 1.0) continue;
+        PROP_ASSERT(std::binary_search(reach.begin(), reach.end(), b),
+                    "a pair with PER < 1 lies outside max_radio_range");
       }
     }
   });
