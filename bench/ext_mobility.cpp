@@ -3,13 +3,15 @@
 // spacing forces genuine multi-hop (range model instead of the testbed's
 // everyone-in-range room), plus one mobile sensor roaming the area at walking
 // speed. The mobile node's uplink hands over between infrastructure nodes as
-// it moves; its CoAP delivery is compared with the static producers'.
+// it moves; its CoAP delivery after formation is compared with the static
+// producers'.
 
+#include <algorithm>
 #include <cstdio>
 
+#include "testbed/experiment.hpp"
 #include "testbed/mobility.hpp"
 #include "testbed/report.hpp"
-#include "testbed/self_forming.hpp"
 
 using namespace mgap;
 using namespace mgap::testbed;
@@ -17,38 +19,36 @@ using namespace mgap::testbed;
 int main() {
   std::printf("=== Extension: mobility on a self-forming multi-hop network ===\n\n");
 
-  SelfFormingConfig cfg;
-  cfg.num_nodes = 16;  // 15 infrastructure + 1 mobile (id 16)
+  ExperimentConfig cfg;
+  cfg.topology = Topology::self_forming(16);  // 15 infrastructure + 1 mobile (id 16)
   cfg.duration = scaled_duration(sim::Duration::minutes(20), sim::Duration::minutes(5));
-  cfg.producer_start_delay = sim::Duration::sec(30);
-  cfg.dynconn.max_children = 4;
+  cfg.policy = core::IntervalPolicy::randomized(sim::Duration::ms(65), sim::Duration::ms(85));
   cfg.seed = 11;
-  SelfFormingNetwork net{cfg};
+  Experiment exp{cfg};
 
   // Pin the infrastructure on a 4x4 grid (7 m pitch) minus one corner; the
   // range model (full quality <= 8 m, dead > 15 m) forces real multi-hop.
-  RandomWaypointMobility mob{net.simulator()};
+  RandomWaypointMobility mob{exp.simulator()};
   NodeId id = 1;
   for (int gy = 0; gy < 4 && id <= 15; ++gy) {
     for (int gx = 0; gx < 4 && id <= 15; ++gx) {
       mob.place_static(id++, Vec2{gx * 7.0, gy * 7.0});
     }
   }
-  MobilityConfig unused_defaults;  // (documented defaults: 30x30 m, 0.5-1.5 m/s)
-  (void)unused_defaults;
   mob.add_mobile(16, Vec2{10.0, 10.0});
-  net.world().set_link_per(make_link_per(mob, RangeModel{8.0, 15.0}));
+  exp.ble_world()->set_link_per(make_link_per(mob, RangeModel{8.0, 15.0}));
   mob.start();
 
   // Track the mobile node's uplink over time.
   std::printf("mobile node 16 uplink trace (sampled every 30 s):\n ");
+  const core::Dynconn& mobile = *exp.dynconn(16);
   std::optional<NodeId> last;
   unsigned handovers = 0;
   const auto step = sim::Duration::sec(30);
   const auto steps = cfg.duration / step;
   for (std::int64_t i = 1; i <= steps; ++i) {
-    net.run_until(sim::TimePoint::origin() + step * i);
-    const auto up = net.dynconn(16).uplink_peer();
+    exp.run_until(sim::TimePoint::origin() + step * i);
+    const auto up = mobile.uplink_peer();
     if (up != last) {
       ++handovers;
       last = up;
@@ -60,36 +60,37 @@ int main() {
     }
     if (i % 20 == 0) std::printf("\n ");
   }
-  net.run();
+  exp.run();
   std::printf("\n\n");
 
-  std::printf("formation: %s after %.1f s; DODAG max depth %u\n",
-              net.all_joined() ? "complete" : "INCOMPLETE",
-              net.formation_time() ? net.formation_time()->to_sec_f() : -1.0, [&] {
-                unsigned d = 0;
-                for (const auto& [n, depth] : net.depths()) {
-                  if (depth != 0xFFFF) d = std::max(d, depth);
-                }
-                return d;
-              }());
+  const ExperimentSummary s = exp.summary();
+  const auto formed = exp.formation_time();
+  std::printf("formation: %s after %.1f s; DODAG max depth %llu\n",
+              formed ? "complete" : "INCOMPLETE", formed ? formed->to_sec_f() : -1.0,
+              static_cast<unsigned long long>(s.topo_max_hops));
   std::printf("mobile node 16: %u uplink changes, %llu losses, %llu join attempts\n",
-              handovers, static_cast<unsigned long long>(net.dynconn(16).uplink_losses()),
-              static_cast<unsigned long long>(net.dynconn(16).join_attempts()));
-  std::printf("PDR mobile (node 16): %.4f   PDR static producers: %.4f\n",
-              net.metrics().pdr_of(16), [&] {
-                std::uint64_t sent = 0;
-                std::uint64_t acked = 0;
-                for (NodeId n = 2; n <= 15; ++n) {
-                  const auto* tl = net.metrics().timeline_of(n);
-                  if (tl == nullptr) continue;
-                  for (const auto& b : *tl) {
-                    sent += b.sent;
-                    acked += b.acked;
-                  }
-                }
-                return sent ? static_cast<double>(acked) / static_cast<double>(sent) : 1.0;
-              }());
-  if (const auto* rtt = net.metrics().rtt_of(16)) {
+              handovers, static_cast<unsigned long long>(mobile.uplink_losses()),
+              static_cast<unsigned long long>(mobile.join_attempts()));
+
+  // Steady state: requests sent from the metrics bucket the DODAG formed in.
+  const Metrics& m = exp.metrics();
+  const std::size_t from =
+      formed ? static_cast<std::size_t>(formed->since_origin() / m.bucket_width()) : 0;
+  auto pdr_since_formation = [&](NodeId lo, NodeId hi) {
+    PdrBucket total;
+    for (NodeId n = lo; n <= hi; ++n) {
+      const auto* tl = m.timeline_of(n);
+      if (tl == nullptr) continue;
+      for (std::size_t b = std::min(from, tl->size()); b < tl->size(); ++b) {
+        total.sent += (*tl)[b].sent;
+        total.acked += (*tl)[b].acked;
+      }
+    }
+    return total.pdr();
+  };
+  std::printf("PDR after formation: mobile (node 16) %.4f   static producers %.4f\n",
+              pdr_since_formation(16, 16), pdr_since_formation(2, 15));
+  if (const auto* rtt = m.rtt_of(16)) {
     std::printf("mobile RTT p50/p99: %.1f / %.1f ms\n", rtt->quantile(0.5).to_ms_f(),
                 rtt->quantile(0.99).to_ms_f());
   }

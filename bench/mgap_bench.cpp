@@ -14,9 +14,13 @@
 // end-to-end and fingerprints its JSON and CSV output (FNV-1a) so CI catches
 // wall-clock regressions, cross-build nondeterminism and writer changes.
 //
-// CI compares the committed baselines against a fresh run and fails when the
-// 100k-event case regresses more than 2x (scaling-normalized, so a slower
-// runner does not false-positive) or either campaign fingerprint moves.
+// CI's bench-smoke job fails when the 100k-event case regresses more than 2x
+// against the committed baseline (scaling-normalized, so a slower runner does
+// not false-positive). The deterministic fingerprints (campaign JSON and CSV,
+// scale, overload, mesh) are ctest tests with label `golden`
+// (bench/CMakeLists.txt), each comparing one fresh case with its committed
+// BENCH_<case>.json. The scale, overload and mesh floors fail this binary's
+// exit status.
 
 #include <algorithm>
 #include <chrono>

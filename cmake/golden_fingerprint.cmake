@@ -1,8 +1,9 @@
 # Golden-fingerprint check: runs one mgap_bench case into a scratch directory
-# and compares a fingerprint field of its fresh BENCH_<case>.json with the
-# committed one, read at test time so the value lives only in that file.
+# and compares fingerprint fields of its fresh BENCH_<case>.json with the
+# committed one, read at test time so each value lives only in that file.
 #
-# Inputs: -DBENCH=<mgap_bench path> -DCASE=<bench case> -DFIELD=<json key>
+# Inputs: -DBENCH=<mgap_bench path> -DCASE=<bench case>
+#         -DFIELDS=<json key>[,<json key>...]
 #         -DEXPECTED=<committed BENCH_<case>.json> -DOUT_DIR=<scratch dir>
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
@@ -16,10 +17,17 @@ endif()
 
 file(READ "${EXPECTED}" expected_json)
 file(READ "${OUT_DIR}/BENCH_${CASE}.json" fresh_json)
-string(JSON expected GET "${expected_json}" "${FIELD}")
-string(JSON fresh GET "${fresh_json}" "${FIELD}")
-if(NOT fresh STREQUAL expected)
-  message(FATAL_ERROR "${CASE} ${FIELD} drifted: ${fresh} (fresh) != ${expected} "
-                      "(committed ${EXPECTED})")
+string(REPLACE "," ";" fields "${FIELDS}")
+set(drifted "")
+foreach(field IN LISTS fields)
+  string(JSON expected GET "${expected_json}" "${field}")
+  string(JSON fresh GET "${fresh_json}" "${field}")
+  if(fresh STREQUAL expected)
+    message(STATUS "${CASE} ${field} ${fresh} matches ${EXPECTED}")
+  else()
+    string(APPEND drifted "${CASE} ${field} drifted: ${fresh} (fresh) != ${expected}\n")
+  endif()
+endforeach()
+if(drifted)
+  message(FATAL_ERROR "${drifted}(committed ${EXPECTED})")
 endif()
-message(STATUS "${CASE} ${FIELD} ${fresh} matches ${EXPECTED}")

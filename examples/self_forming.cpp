@@ -3,64 +3,66 @@
 // router; dynamic topology management (dynconn, advertising RPL ranks per
 // Lee et al.) builds the BLE connection graph, RPL-lite builds the IP routes
 // over it, and CoAP traffic flows — all while the randomized-interval
-// mitigation keeps the formed network shading-free.
+// mitigation keeps the formed network shading-free. The same run as a spec
+// line: `topology = self_forming15`.
 //
 // Build & run:  ./build/examples/self_forming
 
 #include <cstdio>
 
-#include "testbed/self_forming.hpp"
+#include "testbed/experiment.hpp"
 
 int main() {
   using namespace mgap;
   using namespace mgap::testbed;
 
-  SelfFormingConfig cfg;
-  cfg.num_nodes = 15;
+  constexpr unsigned kNodes = 15;
+  ExperimentConfig cfg;
+  cfg.topology = Topology::self_forming(kNodes);
   cfg.duration = sim::Duration::minutes(10);
+  cfg.policy = core::IntervalPolicy::randomized(sim::Duration::ms(65), sim::Duration::ms(85));
   cfg.seed = 42;
 
   std::printf("self_forming: 15 unconfigured nodes, node 1 is the border router\n\n");
 
-  SelfFormingNetwork net{cfg};
+  Experiment exp{cfg};
 
   // Narrate the formation phase second by second.
   for (int s = 1; s <= 30; ++s) {
-    net.run_until(sim::TimePoint::origin() + sim::Duration::sec(s));
+    exp.run_until(sim::TimePoint::origin() + sim::Duration::sec(s));
     unsigned joined = 0;
-    for (NodeId id = 1; id <= cfg.num_nodes; ++id) {
-      if (net.rpl(id).joined()) ++joined;
+    for (NodeId id = 1; id <= kNodes; ++id) {
+      if (exp.rpl(id)->joined()) ++joined;
     }
     std::printf("  t=%2ds: %2u/15 nodes in the DODAG\n", s, joined);
-    if (joined == cfg.num_nodes) break;
+    if (joined == kNodes) break;
   }
-  if (net.formation_time()) {
-    std::printf("\nDODAG complete after %.1f s\n", net.formation_time()->to_sec_f());
+  if (exp.formation_time()) {
+    std::printf("\nDODAG complete after %.1f s\n", exp.formation_time()->to_sec_f());
   }
 
-  net.run();  // remainder of the experiment
+  exp.run();  // remainder of the experiment
 
   std::printf("\nfinal topology (node: depth, parent, children):\n");
-  const auto depths = net.depths();
-  for (NodeId id = 1; id <= cfg.num_nodes; ++id) {
-    if (id == cfg.root) {
-      std::printf("  node %2u: root, %u children\n", id, net.dynconn(id).children());
+  std::uint64_t losses = 0;
+  for (NodeId id = 1; id <= kNodes; ++id) {
+    const core::Dynconn& dc = *exp.dynconn(id);
+    if (dc.is_root()) {
+      std::printf("  node %2u: root, %u children\n", id, dc.children());
       continue;
     }
-    const auto parent = net.dynconn(id).uplink_peer();
-    std::printf("  node %2u: depth %u, parent %2u, %u children\n", id, depths.at(id),
-                parent.value_or(kInvalidNode), net.dynconn(id).children());
+    losses += dc.uplink_losses();
+    std::printf("  node %2u: depth %u, parent %2u, %u children\n", id,
+                exp.rpl(id)->rank() / net::kRplMinHopRankIncrease - 1u,
+                dc.uplink_peer().value_or(kInvalidNode), dc.children());
   }
 
-  std::uint64_t losses = 0;
-  for (NodeId id = 2; id <= cfg.num_nodes; ++id) losses += net.dynconn(id).uplink_losses();
+  const ExperimentSummary s = exp.summary();
   std::printf("\ntraffic: %llu/%llu CoAP requests answered (PDR %.4f)\n",
-              static_cast<unsigned long long>(net.metrics().total_acked()),
-              static_cast<unsigned long long>(net.metrics().total_sent()),
-              net.metrics().pdr());
+              static_cast<unsigned long long>(s.acked),
+              static_cast<unsigned long long>(s.sent), s.coap_pdr);
   std::printf("uplink losses after formation: %llu (randomized intervals at work)\n",
               static_cast<unsigned long long>(losses));
-  std::printf("RPL parent changes: %llu\n",
-              static_cast<unsigned long long>(net.total_parent_changes()));
+  std::printf("RPL parent changes: %.0f\n", s.counters.at("rpl.parent_changes"));
   return 0;
 }

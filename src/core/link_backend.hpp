@@ -11,7 +11,8 @@
 // architecture without touching the rest of the stack.
 //
 // Implementations:
-//   * testbed::BleConnBackend  — BLE L2CAP connections + statconn (the paper)
+//   * testbed::BleConnBackend  — BLE L2CAP connections + statconn (the paper),
+//                                or dynconn on a self-forming topology
 //   * testbed::Ieee154Backend  — IEEE 802.15.4 CSMA/CA (section 5.3 baseline)
 //   * mesh::MeshBackend        — Bluetooth Mesh managed flooding (kMesh) and
 //                                IPv6-over-advertising unicast (kAdv)

@@ -48,14 +48,22 @@ net::Netif& BleConnBackend::add_node(NodeId id) {
 
 void BleConnBackend::finish_node(NodeId id) {
   core::NimbleNetif& netif = *netifs_.at(id);
-  core::StatconnConfig sc_cfg;
-  sc_cfg.policy = config_.policy;
-  sc_cfg.supervision_timeout = config_.supervision_timeout;
-  sc_cfg.param_update_mitigation = config_.param_update_mitigation;
-  sc_cfg.reconnect_backoff_base = config_.reconnect_backoff_base;
-  sc_cfg.reconnect_backoff_max = config_.reconnect_backoff_max;
-  sc_cfg.reconnect_backoff_jitter = config_.reconnect_backoff_jitter;
-  statconns_.emplace(id, std::make_unique<core::Statconn>(netif, sc_cfg));
+  if (config_.topology.wired()) {
+    core::StatconnConfig sc_cfg;
+    sc_cfg.policy = config_.policy;
+    sc_cfg.supervision_timeout = config_.supervision_timeout;
+    sc_cfg.param_update_mitigation = config_.param_update_mitigation;
+    sc_cfg.reconnect_backoff_base = config_.reconnect_backoff_base;
+    sc_cfg.reconnect_backoff_max = config_.reconnect_backoff_max;
+    sc_cfg.reconnect_backoff_jitter = config_.reconnect_backoff_jitter;
+    statconns_.emplace(id, std::make_unique<core::Statconn>(netif, sc_cfg));
+  } else {
+    core::DynconnConfig dc_cfg;
+    dc_cfg.policy = config_.policy;
+    dc_cfg.supervision_timeout = config_.supervision_timeout;
+    dynconns_.emplace(id, std::make_unique<core::Dynconn>(
+                              netif, dc_cfg, id == config_.topology.consumer));
+  }
 
   if (on_link_event_) {
     netif.add_link_listener(
@@ -74,6 +82,7 @@ void BleConnBackend::start() {
   // Ascending node-id order (std::map), as the pre-refactor loop over the
   // experiment's node map did.
   for (auto& [id, sc] : statconns_) sc->start();
+  for (auto& [id, dc] : dynconns_) dc->start();
 }
 
 core::LinkSummary BleConnBackend::link_summary() const {
@@ -104,6 +113,10 @@ void BleConnBackend::fold_counters(obs::Registry& reg) const {
     if (stalls > 0) {
       reg.count("l2cap.credit_stalls", ctrl->id(), static_cast<double>(stalls));
     }
+  }
+  // Self-forming worlds only, so wired runs keep their exact column set.
+  for (const auto& [id, dc] : dynconns_) {
+    reg.count("dynconn.uplink_losses", id, static_cast<double>(dc->uplink_losses()));
   }
   // Advertising-path instrumentation: only for generated worlds, so static
   // experiments keep byte-identical campaign output (columns derive from

@@ -1,10 +1,11 @@
 #pragma once
 // BLE connection-oriented link backend: the paper's platform (nimble_netif on
 // L2CAP CoC, statconn connection management) factored behind
-// core::LinkBackend. This file owns what Experiment::build_ble used to build
-// inline — the construction order (and thus the sequentially numbered RNG
-// streams) is preserved exactly, pinned by the metamorphic and conformance
-// suites: pre-refactor BLE runs stay byte-identical.
+// core::LinkBackend. A wired topology runs statconn on every node; a
+// self-forming one (no edges) runs dynconn instead, which picks its links at
+// run time from the ranks the experiment's RPL instances advertise. The
+// construction order (and thus the sequentially numbered RNG streams) is
+// pinned by the metamorphic and conformance suites.
 
 #include <functional>
 #include <map>
@@ -12,6 +13,7 @@
 #include <optional>
 
 #include "ble/world.hpp"
+#include "core/dynconn.hpp"
 #include "core/link_backend.hpp"
 #include "core/nimble_netif.hpp"
 #include "core/statconn.hpp"
@@ -53,6 +55,10 @@ class BleConnBackend final : public core::LinkBackend {
     auto it = statconns_.find(id);
     return it == statconns_.end() ? nullptr : it->second.get();
   }
+  [[nodiscard]] core::Dynconn* dynconn(NodeId id) {
+    auto it = dynconns_.find(id);
+    return it == dynconns_.end() ? nullptr : it->second.get();
+  }
 
  private:
   sim::Simulator& sim_;
@@ -64,6 +70,7 @@ class BleConnBackend final : public core::LinkBackend {
   std::optional<sim::Rng> drift_rng_;
   std::map<NodeId, std::unique_ptr<core::NimbleNetif>> netifs_;
   std::map<NodeId, std::unique_ptr<core::Statconn>> statconns_;
+  std::map<NodeId, std::unique_ptr<core::Dynconn>> dynconns_;
 };
 
 }  // namespace mgap::testbed

@@ -175,6 +175,11 @@ void parse_topology(C& c, const Key& k, std::string_view, std::string_view v) {
     const auto n = sim::parse_real(v.substr(4));
     if (!n || *n < 2) throw bad(k.name);
     c.topology = Topology::star(static_cast<unsigned>(*n));
+  } else if (v.starts_with("self_forming")) {
+    // The generated worlds' node-count bound.
+    const auto n = sim::parse_uint(v.substr(12));
+    if (!n || *n < 2 || *n > 100'000) throw bad(k.name);
+    c.topology = Topology::self_forming(static_cast<unsigned>(*n));
   } else {
     throw unknown(k, v);
   }
@@ -182,9 +187,9 @@ void parse_topology(C& c, const Key& k, std::string_view, std::string_view v) {
 // A generated world renders its spec instead (the prefix row below).
 void render_topology(std::string& out, const C& c, const C&, const Key& k) {
   if (c.topo.enabled()) return;
-  const bool star = c.topology.name == "star";
+  const bool sized = c.topology.name == "star" || !c.topology.wired();
   line(out, k.name,
-       c.topology.name + (star ? std::to_string(c.topology.nodes.size()) : std::string{"15"}));
+       c.topology.name + (sized ? std::to_string(c.topology.nodes.size()) : std::string{"15"}));
 }
 
 // apply_topo_kv's messages carry their own "config: " prefix.
@@ -430,6 +435,7 @@ void validate(const ExperimentConfig& cfg) {
   } catch (const std::exception& e) {
     throw std::runtime_error{"config: " + std::string(e.what())};
   }
+  check_self_forming(cfg);
 }
 
 std::vector<std::string_view> experiment_config_keys() {

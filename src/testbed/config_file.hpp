@@ -39,7 +39,8 @@ void for_each_key_value(
 /// configuration, so sweep axes accept exactly the file syntax.
 void apply_experiment_kv(ExperimentConfig& cfg, std::string_view key, std::string_view value);
 
-/// The checks that span several keys (flow thresholds, the topo.* spec);
+/// The checks that span several keys (flow thresholds, the topo.* spec, the
+/// rules of a self-forming topology: check_self_forming);
 /// throws std::runtime_error. Both parsers run it on every configuration
 /// they produce.
 void validate(const ExperimentConfig& cfg);

@@ -12,11 +12,48 @@
 
 namespace mgap::testbed {
 
+void check_self_forming(const ExperimentConfig& config) {
+  if (config.topology.wired()) return;
+  const std::string topo =
+      "topology = " + config.topology.name + std::to_string(config.topology.nodes.size());
+  if (config.topo.enabled()) {
+    throw std::runtime_error{"config: " + topo + " cannot take topo.generator " +
+                             "(a generated world is wired)"};
+  }
+  if (config.radio != core::LinkBackendKind::kBle) {
+    throw std::runtime_error{"config: " + topo + " needs link.backend = ble " +
+                             "(dynconn forms BLE links)"};
+  }
+  // A crash would only switch the radio off: dynconn has no suspend/resume,
+  // so the run would not model a reboot.
+  for (const auto& [key, ev] : config.faults) {
+    if (ev.kind == fault::FaultKind::kCrash) {
+      throw std::runtime_error{"config: " + key + ": a crash needs a wired topology, not " +
+                               topo};
+    }
+  }
+  // Chaos link faults pick from the topology's edges, and a self-forming one
+  // has none: chaos samples node-scoped faults only, and needs one to sample.
+  if (config.chaos.enabled()) {
+    const auto& kinds = config.chaos.kinds;
+    const bool crash = std::find(kinds.begin(), kinds.end(), fault::FaultKind::kCrash) !=
+                       kinds.end();
+    const bool node_scoped = std::any_of(kinds.begin(), kinds.end(), [](fault::FaultKind k) {
+      return k != fault::FaultKind::kBlackout && k != fault::FaultKind::kAttenuate;
+    });
+    if (kinds.empty() || crash || !node_scoped) {
+      throw std::runtime_error{"config: chaos_kinds on " + topo +
+                               " must leave out crash and name a kind that needs no edge"};
+    }
+  }
+}
+
 Experiment::Experiment(ExperimentConfig config)
     : config_{std::move(config)},
       sim_{config_.seed},
       metrics_{config_.metrics_bucket},
       arena_{config_.arena ? sim::Arena::Mode::kBump : sim::Arena::Mode::kHeap} {
+  check_self_forming(config_);
   if (config_.topo.enabled()) {
     // Procedural world: placement + geometric channel + routing tree, all
     // deterministic from (spec, seed). Replaces any statically wired topology
@@ -38,7 +75,11 @@ Experiment::Experiment(ExperimentConfig config)
     backend_->add_link(e.coordinator, e.subordinate);
   }
   backend_->start();
-  install_routes();
+  if (config_.topology.wired()) {
+    install_routes();
+  } else {
+    start_rpl();
+  }
   spawn_workload();
   setup_faults();
 }
@@ -110,13 +151,58 @@ void Experiment::build_nodes() {
     ip_cfg.flow_stream = creation_index++;
     node.stack = arena_.make<net::IpStack>(sim_, id, netif, ip_cfg);
     node.stack->set_recorder(&recorder_);
-    nodes_.emplace(id, node);
     backend_->finish_node(id);
+    if (!config_.topology.wired()) {
+      // RPL sees the BLE link set through the controller's live connections.
+      ble::Controller* ctrl = controller(id);
+      node.rpl = arena_.make<net::Rpl>(sim_, *node.stack, [ctrl] {
+        std::vector<NodeId> out;
+        for (ble::Connection* c : ctrl->connections()) out.push_back(c->peer_of(*ctrl).id());
+        return out;
+      });
+    }
+    nodes_.emplace(id, node);
   }
+}
+
+void Experiment::start_rpl() {
+  // RPL's rank is the metric dynconn advertises to searching nodes; the link
+  // lifecycle feeds RPL's neighbor set through on_ble_link_event.
+  for (auto& [id, node] : nodes_) {
+    core::Dynconn* dc = dynconn(id);
+    node.rpl->set_rank_changed([this, dc](std::uint16_t rank) {
+      dc->set_advertised_metric(rank);
+      check_formation();
+    });
+    if (id == config_.topology.consumer) {
+      node.rpl->start_as_root();
+    } else {
+      node.rpl->start();
+    }
+  }
+}
+
+void Experiment::check_formation() {
+  if (formation_time_) return;
+  for (const auto& [id, node] : nodes_) {
+    if (!node.rpl->joined()) return;
+  }
+  formation_time_ = sim_.now();
 }
 
 void Experiment::on_ble_link_event(NodeId listener, ble::Connection& conn,
                                    bool up, ble::DisconnectReason reason) {
+  if (!config_.topology.wired()) {
+    // Both ends' RPL instances track the link set as their neighbor set.
+    net::Rpl& rpl = *nodes_.at(listener).rpl;
+    const NodeId peer = conn.coordinator().id() == listener ? conn.subordinate().id()
+                                                            : conn.coordinator().id();
+    if (up) {
+      rpl.neighbor_up(peer);
+    } else {
+      rpl.neighbor_down(peer);
+    }
+  }
   // Link lifecycle + connection-loss log: counted once per link, on the
   // coordinator's side. Supervision timeouts inside a fault window (on
   // either endpoint) count as injected; the rest are emergent shading.
@@ -159,70 +245,52 @@ void Experiment::install_routes() {
     }
     return;
   }
-  if (geo_) {
-    // Generated worlds: downstream subtrees materialize lazily on first
-    // traffic. Eagerly enumerating every (ancestor, descendant) pair is
-    // O(N * depth) routes — ~300k table entries at 10k nodes, dominated by
-    // subtrees the response traffic may never touch — and the recursive
-    // children()/subtree() walk behind it is O(N^2) map scans. The resolver
-    // walks the parent chain from the destination instead: if it passes
-    // through this node, the hop below it is the next hop (cached by the
-    // routing table); otherwise the default route toward the parent applies.
-    // Route contents are identical to the eager build (asserted by tests).
-    // The walk reads an id-indexed copy of the parent map (kInvalidNode for
-    // the root and for ids outside the tree) instead of a map lookup per hop.
-    NodeId max_id = 0;
-    for (const NodeId id : topo.nodes) max_id = std::max(max_id, id);
-    route_parent_.assign(std::size_t{max_id} + 1, kInvalidNode);
-    for (const auto& [child, parent] : topo.parent) route_parent_[child] = parent;
-    for (auto& [id, node] : nodes_) {
-      if (id != topo.consumer) {
-        node.stack->routes().set_default(net::Ipv6Addr::site(topo.parent.at(id)));
-      }
-      const NodeId self = id;
-      node.stack->routes().set_resolver(
-          [this, self](const net::Ipv6Addr& dst) -> std::optional<net::Ipv6Addr> {
-            const NodeId root = config_.topology.consumer;
-            NodeId cur = dst.node_id();
-            if (cur == kInvalidNode) return std::nullopt;
-            NodeId below = kInvalidNode;
-            std::size_t steps = 0;
-            while (cur != root && steps++ <= route_parent_.size()) {
-              if (cur == self) {
-                if (below == kInvalidNode) return std::nullopt;  // dst == self
-                return net::Ipv6Addr::site(below);
-              }
-              if (cur >= route_parent_.size() || route_parent_[cur] == kInvalidNode) {
-                return std::nullopt;  // unknown node
-              }
-              below = cur;
-              cur = route_parent_[cur];
-            }
-            // Reached the root without passing through self: not in our
-            // subtree — unless we *are* the root, whose child toward dst is
-            // the hop below it on the walk.
-            if (cur == root && self == root && below != kInvalidNode) {
-              return net::Ipv6Addr::site(below);
-            }
-            return std::nullopt;
-          });
-    }
-    return;
-  }
+  // Downstream subtrees materialize lazily on first traffic. Eagerly
+  // enumerating every (ancestor, descendant) pair is O(N * depth) routes —
+  // ~300k table entries at 10k nodes, dominated by subtrees the response
+  // traffic may never touch — and the recursive children()/subtree() walk
+  // behind it is O(N^2) map scans. The resolver walks the parent chain from
+  // the destination instead: if it passes through this node, the hop below it
+  // is the next hop (cached by the routing table); otherwise the default
+  // route toward the parent applies. Route contents are identical to the
+  // eager build (asserted by tests). The walk reads an id-indexed copy of the
+  // parent map (kInvalidNode for the root and for ids outside the tree)
+  // instead of a map lookup per hop.
+  NodeId max_id = 0;
+  for (const NodeId id : topo.nodes) max_id = std::max(max_id, id);
+  route_parent_.assign(std::size_t{max_id} + 1, kInvalidNode);
+  for (const auto& [child, parent] : topo.parent) route_parent_[child] = parent;
   for (auto& [id, node] : nodes_) {
-    // Upstream: default route towards the consumer.
     if (id != topo.consumer) {
       node.stack->routes().set_default(net::Ipv6Addr::site(topo.parent.at(id)));
     }
-    // Downstream: host routes into each child's subtree (for the responses).
-    for (const NodeId child : topo.children(id)) {
-      node.stack->routes().add_host_route(net::Ipv6Addr::site(child),
-                                          net::Ipv6Addr::site(child));
-      for (const NodeId desc : topo.subtree(child)) {
-        node.stack->routes().add_host_route(net::Ipv6Addr::site(desc),
-                                            net::Ipv6Addr::site(child));
-      }
-    }
+    const NodeId self = id;
+    node.stack->routes().set_resolver(
+        [this, self](const net::Ipv6Addr& dst) -> std::optional<net::Ipv6Addr> {
+          const NodeId root = config_.topology.consumer;
+          NodeId cur = dst.node_id();
+          if (cur == kInvalidNode) return std::nullopt;
+          NodeId below = kInvalidNode;
+          std::size_t steps = 0;
+          while (cur != root && steps++ <= route_parent_.size()) {
+            if (cur == self) {
+              if (below == kInvalidNode) return std::nullopt;  // dst == self
+              return net::Ipv6Addr::site(below);
+            }
+            if (cur >= route_parent_.size() || route_parent_[cur] == kInvalidNode) {
+              return std::nullopt;  // unknown node
+            }
+            below = cur;
+            cur = route_parent_[cur];
+          }
+          // Reached the root without passing through self: not in our
+          // subtree — unless we *are* the root, whose child toward dst is
+          // the hop below it on the walk.
+          if (cur == root && self == root && below != kInvalidNode) {
+            return net::Ipv6Addr::site(below);
+          }
+          return std::nullopt;
+        });
   }
 }
 
@@ -314,10 +382,7 @@ void Experiment::run() {
   recorder_.close();  // flush + surface any sink failure before results count
 }
 
-void Experiment::run_until(sim::TimePoint t) {
-  ran_ = true;
-  sim_.run_until(t);
-}
+void Experiment::run_until(sim::TimePoint t) { sim_.run_until(t); }
 
 net::IpStack& Experiment::stack(NodeId node) { return *nodes_.at(node).stack; }
 
@@ -342,17 +407,43 @@ core::Statconn* Experiment::statconn(NodeId node) {
   return ble_backend_ ? ble_backend_->statconn(node) : nullptr;
 }
 
+core::Dynconn* Experiment::dynconn(NodeId node) {
+  return ble_backend_ ? ble_backend_->dynconn(node) : nullptr;
+}
+
+net::Rpl* Experiment::rpl(NodeId node) {
+  auto it = nodes_.find(node);
+  return it == nodes_.end() ? nullptr : it->second.rpl;
+}
+
 ExperimentSummary Experiment::summary() const {
   ExperimentSummary s;
   if (geo_) {
     s.topo_generator = geo_->spec.generator_name();
     s.topo_seed = geo_->placement->seed;
-  } else {
+  } else if (config_.topology.wired()) {
     s.topo_generator = "static:" + config_.topology.name;
+  } else {
+    s.topo_generator = config_.topology.name;
   }
   s.topo_nodes = config_.topology.nodes.size();
-  s.topo_mean_hops = config_.topology.mean_hops();
-  s.topo_max_hops = config_.topology.max_hops();
+  if (config_.topology.wired()) {
+    s.topo_mean_hops = config_.topology.mean_hops();
+    s.topo_max_hops = config_.topology.max_hops();
+  } else {
+    // The formed DODAG's depths (rank / 256 - 1) over the joined producers.
+    std::uint64_t joined = 0;
+    std::uint64_t total = 0;
+    for (const auto& [id, node] : nodes_) {
+      if (id == config_.topology.consumer || !node.rpl->joined()) continue;
+      const std::uint64_t depth = node.rpl->rank() / net::kRplMinHopRankIncrease - 1;
+      ++joined;
+      total += depth;
+      s.topo_max_hops = std::max(s.topo_max_hops, depth);
+    }
+    s.topo_mean_hops =
+        joined == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(joined);
+  }
 
   s.sent = metrics_.total_sent();
   s.acked = metrics_.total_acked();
@@ -451,6 +542,17 @@ ExperimentSummary Experiment::summary() const {
       reg.count("coap.nstart_deferrals", id,
                 static_cast<double>(node.producer->nstart_deferrals()));
     }
+    if (node.rpl != nullptr) {
+      const net::RplStats& rs = node.rpl->stats();
+      reg.count("rpl.parent_changes", id, static_cast<double>(rs.parent_changes));
+      reg.count("rpl.dio_tx", id, static_cast<double>(rs.dio_tx));
+      reg.count("rpl.dao_tx", id, static_cast<double>(rs.dao_tx));
+    }
+  }
+  if (!config_.topology.wired()) {
+    // Seconds until every node first held a rank; -1 if it never happened.
+    reg.gauge_max("rpl.formation_s", 0,
+                  formation_time_ ? formation_time_->to_sec_f() : -1.0);
   }
   backend_->fold_counters(reg);
   reg.count("trace.events", 0, static_cast<double>(recorder_.events_recorded()));

@@ -3,15 +3,19 @@
 // framework (Appendix A.3). An ExperimentConfig fully describes a run —
 // radio, topology, traffic, connection-interval policy, seed — and the
 // Experiment assembles the per-node stacks, wires routes, runs the
-// simulation, and exposes metrics for the figures.
+// simulation, and exposes metrics for the figures. A self-forming topology
+// (Topology::self_forming) wires nothing: dynconn builds the BLE links and
+// RPL-lite the routes over them (the paper's section 9 future work).
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "ble/world.hpp"
+#include "core/dynconn.hpp"
 #include "core/interval_policy.hpp"
 #include "core/link_backend.hpp"
 #include "core/statconn.hpp"
@@ -20,6 +24,7 @@
 #include "ieee802154/mac.hpp"
 #include "mesh/spec.hpp"
 #include "net/ip_stack.hpp"
+#include "net/rpl.hpp"
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 #include "phy/channel_model.hpp"
@@ -173,6 +178,12 @@ struct ExperimentSummary {
   std::map<std::string, double> counters;
 };
 
+/// The rules a self-forming topology (no edges) adds to a configuration: the
+/// BLE backend, no generated world, no crash faults, and chaos kinds it can
+/// sample. Throws std::runtime_error naming the offending key; a no-op for
+/// wired topologies. Experiment's constructor and testbed::validate run it.
+void check_self_forming(const ExperimentConfig& config);
+
 class Experiment {
  public:
   explicit Experiment(ExperimentConfig config);
@@ -181,7 +192,8 @@ class Experiment {
   Experiment(const Experiment&) = delete;
   Experiment& operator=(const Experiment&) = delete;
 
-  /// Runs the full configured duration (may be called once).
+  /// Runs to the end of the configured duration, stops the producers and
+  /// runs the drain (call once; it continues from where run_until left off).
   void run();
   /// Advances the simulation to absolute time `t` (for timeline probing).
   void run_until(sim::TimePoint t);
@@ -205,6 +217,13 @@ class Experiment {
   [[nodiscard]] net::IpStack& stack(NodeId node);
   [[nodiscard]] ble::Controller* controller(NodeId node);
   [[nodiscard]] core::Statconn* statconn(NodeId node);
+  /// Self-forming topologies only (null otherwise): the node's dynconn and
+  /// RPL instance, and when every node first held an RPL rank.
+  [[nodiscard]] core::Dynconn* dynconn(NodeId node);
+  [[nodiscard]] net::Rpl* rpl(NodeId node);
+  [[nodiscard]] std::optional<sim::TimePoint> formation_time() const {
+    return formation_time_;
+  }
   /// Non-null when faults or chaos mode are configured.
   [[nodiscard]] fault::FaultInjector* injector() { return injector_.get(); }
   [[nodiscard]] const Consumer& consumer() const { return *consumer_; }
@@ -218,6 +237,8 @@ class Experiment {
   void build_backend();
   void build_nodes();
   void install_routes();
+  void start_rpl();
+  void check_formation();
   void spawn_workload();
   void setup_faults();
   void on_node_crash(NodeId node);
@@ -231,6 +252,7 @@ class Experiment {
     // consumer — the same relative order the unique_ptr members had).
     net::IpStack* stack{nullptr};
     Producer* producer{nullptr};
+    net::Rpl* rpl{nullptr};  // self-forming topologies only
   };
 
   ExperimentConfig config_;
@@ -246,11 +268,12 @@ class Experiment {
   mesh::MeshBackend* mesh_backend_{nullptr};
   sim::Arena arena_;
   std::map<NodeId, Node> nodes_;
-  // Generated worlds: topology.parent as an id-indexed vector for the lazy
-  // route resolvers' tree walk (see install_routes).
+  // topology.parent as an id-indexed vector for the lazy route resolvers'
+  // tree walk (see install_routes).
   std::vector<NodeId> route_parent_;
   std::unique_ptr<Consumer> consumer_;
   std::unique_ptr<fault::FaultInjector> injector_;
+  std::optional<sim::TimePoint> formation_time_;
   bool ran_{false};
 };
 

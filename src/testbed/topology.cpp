@@ -46,6 +46,7 @@ void Topology::validate() const {
                                std::to_string(par)};
     }
   }
+  if (!wired()) return;  // self-forming: no parent map to walk
   // Every node must reach the consumer without cycling (bounded walk).
   for (const NodeId start : nodes) {
     NodeId n = start;
@@ -87,6 +88,14 @@ Topology Topology::star(unsigned n) {
   std::map<NodeId, NodeId> parent;
   for (NodeId i = 2; i <= n; ++i) parent[i] = 1;
   return from_parent_map("star", 1, std::move(parent));
+}
+
+Topology Topology::self_forming(unsigned n) {
+  assert(n >= 2);
+  Topology t;
+  t.name = "self_forming";
+  for (NodeId i = 1; i <= n; ++i) t.nodes.push_back(i);
+  return t;
 }
 
 std::vector<NodeId> Topology::producers() const {

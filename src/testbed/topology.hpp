@@ -4,7 +4,8 @@
 // count 2.14) or a line (14 hops). Per the paper's role assignment, the
 // child of each link takes the coordinator role and the parent advertises as
 // subordinate (Figure 12 describes the consumer as subordinate of three
-// connections).
+// connections). A topology with nodes but no edges is not wired at all: its
+// nodes form the BLE topology and the routes themselves (self_forming).
 
 #include <map>
 #include <string>
@@ -33,6 +34,9 @@ struct Topology {
   [[nodiscard]] static Topology line15();
   /// RFC 7668 star: one central subordinate, n-1 leaves (for comparison).
   [[nodiscard]] static Topology star(unsigned n);
+  /// Nodes 1..n, consumer 1, no edges: dynconn builds the BLE links and RPL
+  /// the routes at run time (the paper's section 9 future work).
+  [[nodiscard]] static Topology self_forming(unsigned n);
   /// Builds a topology from a child -> parent map (procedural generators,
   /// tests). Validates the result: throws std::runtime_error on a duplicate
   /// node, a parent outside the node set, or a node that cannot reach the
@@ -42,6 +46,9 @@ struct Topology {
 
   /// The invariants from_parent_map enforces, re-checkable on any instance.
   void validate() const;
+
+  /// False for a self-forming topology: no static links, no parent map.
+  [[nodiscard]] bool wired() const { return !edges.empty(); }
 
   [[nodiscard]] std::vector<NodeId> producers() const;
   /// Hop count from `node` to the consumer.

@@ -319,6 +319,28 @@ TEST(Runner, SerialAndParallelRunsAreByteIdentical) {
   EXPECT_EQ(to_csv(r1), to_csv(rn));
 }
 
+TEST(Runner, SelfFormingCellsAreByteIdenticalAcrossThreads) {
+  const CampaignSpec spec = parse_campaign_spec(R"(
+campaign = self_forming_threads
+topology = self_forming8
+duration = 60s
+conn_interval = 65:85ms
+seeds = 1..2
+)");
+  RunnerOptions serial;
+  serial.threads = 1;
+  serial.progress = false;
+  RunnerOptions parallel;
+  parallel.threads = 2;
+  parallel.progress = false;
+  const CampaignResult r1 = CampaignRunner{serial}.run(spec);
+  const CampaignResult r2 = CampaignRunner{parallel}.run(spec);
+  EXPECT_EQ(r2.threads_used, 2u);
+  EXPECT_EQ(to_json(r1), to_json(r2));
+  EXPECT_EQ(to_csv(r1), to_csv(r2));
+  EXPECT_NE(to_json(r1).find("\"rpl.formation_s\""), std::string::npos);
+}
+
 TEST(Runner, CellsMatchStandaloneExperiments) {
   RunnerOptions options;
   options.threads = 0;  // hardware_concurrency

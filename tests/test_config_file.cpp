@@ -91,6 +91,34 @@ TEST(ConfigFile, StarTopology) {
   EXPECT_EQ(cfg.topology.nodes.size(), 8u);
 }
 
+TEST(ConfigFile, SelfFormingTopology) {
+  const auto cfg = parse_experiment_config("topology = self_forming12\n");
+  EXPECT_EQ(cfg.topology.name, "self_forming");
+  EXPECT_EQ(cfg.topology.nodes.size(), 12u);
+  EXPECT_FALSE(cfg.topology.wired());
+  EXPECT_TRUE(cfg.topology.parent.empty());
+  const std::string rendered = render_experiment_config(cfg);
+  EXPECT_NE(rendered.find("topology = self_forming12\n"), std::string::npos);
+  EXPECT_EQ(render_experiment_config(parse_experiment_config(rendered)), rendered);
+
+  for (const char* v : {"self_forming", "self_forming0", "self_forming1", "self_formingx"}) {
+    EXPECT_THROW((void)parse_experiment_config(std::string{"topology = "} + v + "\n"),
+                 std::runtime_error)
+        << v;
+  }
+  // A generated world is wired, in either key order.
+  EXPECT_THROW((void)parse_experiment_config("topology = self_forming8\n"
+                                             "topo.generator = rgg\n"),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_experiment_config("topo.generator = rgg\n"
+                                             "topology = self_forming8\n"),
+               std::runtime_error);
+  // dynconn forms BLE links only.
+  EXPECT_THROW((void)parse_experiment_config("topology = self_forming8\n"
+                                             "link.backend = mesh\n"),
+               std::runtime_error);
+}
+
 TEST(ConfigFile, RejectsUnknownKeyAndBadValues) {
   EXPECT_THROW((void)parse_experiment_config("connn_interval = 75ms\n"),
                std::runtime_error);

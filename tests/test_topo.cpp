@@ -397,23 +397,18 @@ TEST(TopoBleWorld, AdvertisingScanStaysBoundedByDegree) {
   EXPECT_LE(world.adv_candidates_scanned(), 40 * world.adv_events_routed());
 }
 
-TEST(TopoBleWorld, LazyRoutesEqualTheEagerBuild) {
-  // Generated worlds resolve downstream routes lazily from the parent map;
-  // static worlds still materialize every (ancestor, descendant) host route
-  // up front. The contract: for every (node, destination) pair the lazy
-  // lookup answers exactly what the eager table would.
-  testbed::ExperimentConfig cfg;
-  cfg.topo = rgg_spec(40);
+// Every world resolves downstream routes lazily from the parent map. The
+// contract: for every (node, destination) pair the lazy lookup answers exactly
+// what an eager table of every (ancestor, descendant) host route would.
+void expect_lazy_routes_equal_the_eager_build(testbed::ExperimentConfig cfg) {
   cfg.duration = sim::Duration::sec(1);
-  cfg.seed = 3;
   testbed::Experiment exp{cfg};
 
   const testbed::Topology& topo = exp.config().topology;
   for (const NodeId id : topo.nodes) {
     net::RoutingTable& routes = exp.stack(id).routes();
-    // Eager expectation, recomputed here the way install_routes() used to:
-    // child subtrees get host routes via the child, everything else defaults
-    // to the parent (the consumer has no default).
+    // Eager expectation: child subtrees get host routes via the child,
+    // everything else defaults to the parent (the consumer has no default).
     std::map<NodeId, NodeId> eager;
     for (const NodeId child : topo.children(id)) {
       eager[child] = child;
@@ -434,6 +429,21 @@ TEST(TopoBleWorld, LazyRoutesEqualTheEagerBuild) {
         EXPECT_FALSE(got.has_value()) << id << " -> " << dst;
       }
     }
+  }
+}
+
+TEST(TopoBleWorld, LazyRoutesEqualTheEagerBuild) {
+  testbed::ExperimentConfig generated;
+  generated.topo = rgg_spec(40);
+  generated.seed = 3;
+  expect_lazy_routes_equal_the_eager_build(generated);
+  for (const testbed::Topology& wired :
+       {testbed::Topology::tree15(), testbed::Topology::line15(),
+        testbed::Topology::star(7)}) {
+    SCOPED_TRACE(wired.name);
+    testbed::ExperimentConfig cfg;
+    cfg.topology = wired;
+    expect_lazy_routes_equal_the_eager_build(cfg);
   }
 }
 
