@@ -169,13 +169,19 @@ void Connection::shift_anchor(sim::Duration delta) {
 
 void Connection::schedule_event(sim::TimePoint anchor) {
   // Member order is the idle event's read order (see ConnHot): it reads this
-  // object from its start through pending_chmap_, so the queue prefetches
-  // that span once the event is next in line.
+  // object from its start through pending_chmap_, both endpoints' hot heads
+  // and the idle counters at the head of LinkStats, so the queue prefetches
+  // all four spans once the event is next in line.
   const auto idle_bytes = static_cast<std::size_t>(
       reinterpret_cast<const std::byte*>(&pending_chmap_ + 1) -
       reinterpret_cast<const std::byte*>(this));
-  hot_.next_event = sim_.schedule_at(anchor, [this, anchor] { on_conn_event(anchor); },
-                                     {this, idle_bytes});
+  const auto stats_bytes = static_cast<std::size_t>(
+      reinterpret_cast<const std::byte*>(&stats_.events_aborted + 1) -
+      reinterpret_cast<const std::byte*>(&stats_));
+  hot_.next_event = sim_.schedule_at(
+      anchor, [this, anchor] { on_conn_event(anchor); },
+      sim::Touch{{sim::TouchSpan{this, idle_bytes}, coord_.idle_span(), sub_.idle_span(),
+                  sim::TouchSpan{&stats_, stats_bytes}}});
 }
 
 void Connection::on_conn_event(sim::TimePoint anchor) {

@@ -2,6 +2,7 @@
 // BLE link-layer vocabulary types shared across the ble subsystem.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -82,5 +83,11 @@ struct LinkStats {
     return total == 0 ? 1.0 : static_cast<double>(events_ok) / static_cast<double>(total);
   }
 };
+// Every connection event bumps one of the three event counters. Connection
+// names LinkStats from its start through events_aborted in its prefetch
+// hint, so the other two come before it, all within the first 64 bytes.
+static_assert(offsetof(LinkStats, events_ok) < offsetof(LinkStats, events_aborted));
+static_assert(offsetof(LinkStats, events_missed) < offsetof(LinkStats, events_aborted));
+static_assert(offsetof(LinkStats, events_aborted) + sizeof(std::uint64_t) <= 64);
 
 }  // namespace mgap::ble

@@ -1,5 +1,6 @@
 #include "ble/world.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/recorder.hpp"
@@ -78,14 +79,46 @@ Connection& BleWorld::open_connection(Controller& coord, Controller& sub,
   return conn;
 }
 
+void BleWorld::set_neighbor_table(const std::map<NodeId, std::vector<NodeId>>& table) {
+  table_ids_.clear();
+  table_rows_ = {};
+  std::size_t entries = 0;
+  for (const auto& [id, row] : table) entries += row.size();
+  table_ids_.reserve(table.size());
+  table_rows_.start.reserve(table.size() + 1);
+  table_rows_.entries.reserve(entries);
+  for (const auto& [id, row] : table) {
+    table_ids_.push_back(id);
+    table_rows_.entries.insert(table_rows_.entries.end(), row.begin(), row.end());
+    table_rows_.end_row();
+  }
+  adv_rows_ = {};
+}
+
+void BleWorld::resolve_adv_rows() {
+  adv_rows_ = {};
+  adv_rows_.start.reserve(nodes_.size() + 1);
+  adv_rows_.entries.reserve(table_rows_.entries.size());
+  for (const Controller* node : nodes_) {
+    const auto it = std::lower_bound(table_ids_.begin(), table_ids_.end(), node->id());
+    if (it != table_ids_.end() && *it == node->id()) {
+      const auto r = static_cast<std::size_t>(it - table_ids_.begin());
+      for (const NodeId nid : table_rows_.row(r)) {
+        if (const Controller* c = find(nid)) adv_rows_.entries.push_back(c->creation_index());
+      }
+    }
+    adv_rows_.end_row();
+  }
+}
+
 void BleWorld::route_adv_event(Controller& advertiser, sim::TimePoint t,
                                sim::Duration duration) {
   ++adv_events_routed_;
-  const std::vector<NodeId>* candidates = nullptr;
-  if (has_neighbor_table()) {
-    const auto it = neighbors_.find(advertiser.id());
-    if (it == neighbors_.end()) return;  // geometrically isolated: nobody in range
-    candidates = &it->second;
+  std::span<const std::uint32_t> candidates;
+  const bool from_table = has_neighbor_table();
+  if (from_table) {
+    if (adv_rows_.start.size() != nodes_.size() + 1) resolve_adv_rows();
+    candidates = adv_rows_.row(advertiser.creation_index());
   } else {
     ++adv_full_scans_;
   }
@@ -93,12 +126,10 @@ void BleWorld::route_adv_event(Controller& advertiser, sim::TimePoint t,
   // Visits potential receivers in ascending-id order (candidate lists mirror
   // the full scan's order); stops early when `fn` returns true.
   const auto for_each_receiver = [&](auto&& fn) {
-    if (candidates != nullptr) {
-      for (const NodeId nid : *candidates) {
-        const auto hit = by_id_.find(nid);
-        if (hit == by_id_.end()) continue;
+    if (from_table) {
+      for (const std::uint32_t index : candidates) {
         ++adv_candidates_scanned_;
-        if (fn(*hit->second)) return;
+        if (fn(*nodes_[index])) return;
       }
     } else {
       for (Controller* node : nodes_) {

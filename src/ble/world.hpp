@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -108,10 +109,8 @@ class BleWorld {
   /// must be ascending by id (the order the full scan visits) and must cover
   /// every pair with link PER < 1; nodes absent from a list never hear that
   /// advertiser.
-  void set_neighbor_table(std::map<NodeId, std::vector<NodeId>> table) {
-    neighbors_ = std::move(table);
-  }
-  [[nodiscard]] bool has_neighbor_table() const { return !neighbors_.empty(); }
+  void set_neighbor_table(const std::map<NodeId, std::vector<NodeId>>& table);
+  [[nodiscard]] bool has_neighbor_table() const { return !table_ids_.empty(); }
 
   /// Advertising-path instrumentation: how many adv events were routed, how
   /// many candidate controllers those routes visited, and how many fell back
@@ -153,6 +152,8 @@ class BleWorld {
   [[nodiscard]] obs::Recorder* recorder() const { return recorder_; }
 
  private:
+  void resolve_adv_rows();
+
   obs::Recorder* recorder_{nullptr};
   std::uint32_t link_model_version_{0};
   LinkPerFn link_per_;
@@ -162,7 +163,26 @@ class BleWorld {
   ChannelMap default_chmap_{ChannelMap::all()};
   std::vector<Controller*> nodes_;
   std::map<NodeId, Controller*> by_id_;
-  std::map<NodeId, std::vector<NodeId>> neighbors_;
+  /// Rows of 32-bit entries stored flat: row r is
+  /// entries[start[r] .. start[r + 1]).
+  struct FlatRows {
+    std::vector<std::uint32_t> start{0};
+    std::vector<std::uint32_t> entries;
+
+    [[nodiscard]] std::span<const std::uint32_t> row(std::size_t r) const {
+      return {entries.data() + start[r], entries.data() + start[r + 1]};
+    }
+    void end_row() { start.push_back(static_cast<std::uint32_t>(entries.size())); }
+  };
+  /// The installed neighbor table: table_rows_ row r lists the candidate ids
+  /// of advertiser table_ids_[r] (ascending).
+  std::vector<NodeId> table_ids_;
+  FlatRows table_rows_;
+  /// The same rows resolved once per node set: row i belongs to creation
+  /// index i and lists its candidates' creation indices, ids never added
+  /// dropped. Stale (and rebuilt by the next advertising event) when its row
+  /// count differs from nodes_.
+  FlatRows adv_rows_;
   std::uint64_t adv_events_routed_{0};
   std::uint64_t adv_candidates_scanned_{0};
   std::uint64_t adv_full_scans_{0};

@@ -13,6 +13,21 @@ namespace {
 // sit in one or two cache lines, which is where a DES queue spends its time.
 constexpr std::size_t kArity = 4;
 constexpr std::size_t kLine = 64;
+
+// Lines of `span` to prefetch, capped at 255; 0 for a null or empty span.
+// object + i * kLine lies in the i-th line of the span, so pop() can step
+// from `object` itself.
+std::uint8_t lines_of(TouchSpan span) {
+  if (span.object == nullptr || span.bytes == 0) return 0;
+  const auto first = reinterpret_cast<std::uintptr_t>(span.object);
+  const std::uintptr_t lines = (first + span.bytes - 1) / kLine - first / kLine + 1;
+  return static_cast<std::uint8_t>(std::min<std::uintptr_t>(lines, 255));
+}
+
+void prefetch_lines(const void* object, unsigned lines) {
+  const auto* bytes = static_cast<const char*>(object);
+  for (unsigned i = 0; i < lines; ++i) __builtin_prefetch(bytes + i * kLine);
+}
 }  // namespace
 
 void EventQueue::sift_up(std::size_t i) {
@@ -74,21 +89,20 @@ std::uint32_t EventQueue::alloc_slot() {
   return slot;
 }
 
-EventId EventQueue::schedule(TimePoint at, Action action, Touch touch) {
+EventId EventQueue::schedule(TimePoint at, Action action, const Touch& touch) {
   assert(next_seq_ < kMaxSeq);
   const std::uint32_t slot = alloc_slot();
   SlotState& state = states_[slot];
   assert(!state.live);
   slots_[slot].action = std::move(action);
   state.live = true;
-  state.touch = touch.object;
-  state.touch_lines = 0;
-  if (touch.object != nullptr && touch.bytes > 0) {
-    // object + i * kLine lies in the i-th line of the span, so pop() can
-    // step from `object` itself.
-    const auto first = reinterpret_cast<std::uintptr_t>(touch.object);
-    const std::uintptr_t lines = (first + touch.bytes - 1) / kLine - first / kLine + 1;
-    state.touch_lines = static_cast<std::uint8_t>(std::min<std::uintptr_t>(lines, 255));
+  state.spans = 0;
+  for (const TouchSpan& span : touch.spans) {
+    const std::uint8_t lines = lines_of(span);
+    if (lines == 0) continue;
+    state.object[state.spans] = span.object;
+    state.lines[state.spans] = lines;
+    ++state.spans;
   }
   heap_.push_back(Key{at, (next_seq_++ << kSlotBits) | slot});
   sift_up(heap_.size() - 1);
@@ -139,8 +153,9 @@ EventQueue::Fired EventQueue::pop() {
     const std::uint32_t next = heap_.front().slot();
     __builtin_prefetch(&slots_[next]);
     const SlotState& state_next = states_[next];
-    const auto* touch = static_cast<const char*>(state_next.touch);
-    for (unsigned i = 0; i < state_next.touch_lines; ++i) __builtin_prefetch(touch + i * kLine);
+    for (unsigned i = 0; i < state_next.spans; ++i) {
+      prefetch_lines(state_next.object[i], state_next.lines[i]);
+    }
   }
   return fired;
 }

@@ -19,6 +19,7 @@
 // reuse its slot — important for the supervision-timer re-arm loop, which
 // cancels and reschedules on every successful connection event.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -45,12 +46,19 @@ class EventId {
   std::uint32_t gen_{0};
 };
 
-/// The memory an event's action reads first: `bytes` from `object`, as the
-/// scheduling caller knows its own layout. A prefetch hint only; it never
-/// changes what fires or when.
-struct Touch {
+/// One stretch of memory an event's action reads: `bytes` from `object`, as
+/// the scheduling caller knows its own layout.
+struct TouchSpan {
   const void* object{nullptr};
   std::size_t bytes{0};
+};
+
+/// The memory an event's action reads first, as up to kMaxSpans spans (the
+/// object it runs on and what that object points to). A prefetch hint only;
+/// it never changes what fires or when. Null and zero-byte spans are skipped.
+struct Touch {
+  static constexpr std::size_t kMaxSpans = 4;
+  std::array<TouchSpan, kMaxSpans> spans{};
 };
 
 class EventQueue {
@@ -59,10 +67,10 @@ class EventQueue {
 
   /// Schedules `action` to fire at absolute time `at`. Events scheduled for
   /// the same instant fire in scheduling order (FIFO). Once the event is next
-  /// in line, the cache lines of `touch` (up to 255) are prefetched while the
-  /// event before it runs. Throws std::length_error when 2^24 slots (pending
-  /// events plus unswept tombstones) are in use.
-  EventId schedule(TimePoint at, Action action, Touch touch = {});
+  /// in line, the cache lines of each span of `touch` (up to 255 per span)
+  /// are prefetched while the event before it runs. Throws std::length_error
+  /// when 2^24 slots (pending events plus unswept tombstones) are in use.
+  EventId schedule(TimePoint at, Action action, const Touch& touch = {});
 
   /// Cancels a pending event in O(1). Cancelling an already-fired,
   /// already-cancelled, or default-constructed id is a harmless no-op;
@@ -91,19 +99,21 @@ class EventQueue {
 
  private:
   /// One cache line per pending action. Liveness, generation and the
-  /// prefetch hint live apart in a dense SlotState array: the tombstone sweep,
+  /// prefetch hint live apart in a SlotState array: the tombstone sweep,
   /// cancel() and the prefetch read only that, so an action's line is touched
-  /// when it is stored and when it fires.
+  /// when it is stored and when it fires. The sweep has already loaded the
+  /// next event's state when pop() reads its hint.
   struct alignas(64) Slot {
     Action action;
   };
   struct SlotState {
     std::uint32_t gen{0};
     bool live{false};
-    std::uint8_t touch_lines{0};  // cache lines of `touch` to prefetch
-    const void* touch{nullptr};
+    std::uint8_t spans{0};  // non-empty hint spans, in the first entries below
+    std::array<std::uint8_t, Touch::kMaxSpans> lines{};  // cache lines to prefetch
+    std::array<const void*, Touch::kMaxSpans> object{};
   };
-  static_assert(sizeof(SlotState) == 16);
+  static_assert(sizeof(SlotState) == 48);
   /// Four keys per cache line: the slot index rides in the low bits of the
   /// sequence word. Comparing the packed word orders by sequence alone,
   /// because sequences are unique. The 40 sequence bits last 2^40 schedules,

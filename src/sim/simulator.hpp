@@ -31,7 +31,7 @@ class Simulator {
 
   /// Schedules `action` at `at`, clamped to now(): nothing fires in the past.
   /// `touch` is EventQueue::schedule's prefetch hint.
-  EventId schedule_at(TimePoint at, EventQueue::Action action, Touch touch = {}) {
+  EventId schedule_at(TimePoint at, EventQueue::Action action, const Touch& touch = {}) {
     return queue_.schedule(max(at, now_), std::move(action), touch);
   }
   EventId schedule_in(Duration delay, EventQueue::Action action) {

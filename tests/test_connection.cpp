@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <numeric>
 #include <vector>
 
@@ -34,6 +35,29 @@ class ConnectionTest : public ::testing::Test {
   sim::Simulator sim_{1};
   BleWorld world_;
 };
+
+TEST_F(ConnectionTest, ControllerIdleSpanCoversWhatAnIdleEventReads) {
+  // A connection event reads each endpoint's clock, radio state, id,
+  // activity counters and claim table. Connection's prefetch hint names
+  // idle_span(), so the span starts at the (line-aligned) controller and
+  // covers each of those members, through the scheduler's first inline
+  // claims, in the 4 lines that measured best.
+  Controller& a = add(1);
+  const sim::TouchSpan span = a.idle_span();
+  const auto* begin = static_cast<const std::byte*>(span.object);
+  const auto* end = begin + span.bytes;
+  const auto inside = [&](const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::byte*>(p);
+    return begin <= b && b + n <= end;
+  };
+  EXPECT_EQ(span.object, static_cast<const void*>(&a));
+  EXPECT_TRUE(inside(&a.clock(), sizeof(sim::SleepClock)));
+  EXPECT_TRUE(inside(&a.activity(), sizeof(RadioActivity)));
+  EXPECT_TRUE(inside(&a.scheduler(), 1));
+  EXPECT_TRUE(inside(a.scheduler().hot_claims_end(), 0));
+  EXPECT_LT(static_cast<const void*>(&a.activity()), static_cast<const void*>(&a.scheduler()));
+  EXPECT_LE(span.bytes, 4u * 64u);
+}
 
 TEST_F(ConnectionTest, EventsFollowTheConnectionInterval) {
   Controller& a = add(1);

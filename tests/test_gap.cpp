@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+
 #include "ble/world.hpp"
 #include "sim/simulator.hpp"
 
@@ -163,6 +166,40 @@ TEST_F(GapTest, ScannerBusyRadioMissesAdvEvent) {
   ini.scheduler().release(12345);
   run_for(sim::Duration::sec(1));
   EXPECT_NE(ini.connection_to(1), nullptr);
+}
+
+TEST_F(GapTest, NeighborTableRowsFollowTheNodeSet) {
+  // Candidate rows are resolved against the nodes present: an id never added
+  // is skipped, a node added after routing began is picked up, and an
+  // advertiser without a row reaches nobody. Each routed event walks its
+  // row twice: once for observers, once for initiators.
+  world_.set_neighbor_table({{1, {2, 3, 99}}, {4, {}}});
+  Controller& adv = world_.add_node(1, 0.0);
+  Controller& early = world_.add_node(2, 0.0);
+  std::map<NodeId, int> heard;
+  early.start_observing([&](NodeId from, std::uint16_t) { ++heard[from]; });
+  adv.start_advertising();
+  run_for(sim::Duration::sec(1));
+  ASSERT_GT(world_.adv_events_routed(), 0u);
+  EXPECT_EQ(world_.adv_candidates_scanned(), 2 * world_.adv_events_routed());
+  EXPECT_GT(heard[1], 0);
+
+  Controller& late = world_.add_node(3, 0.0);
+  late.start_observing([&](NodeId from, std::uint16_t) { heard[from] += 1000; });
+  const std::uint64_t routed = world_.adv_events_routed();
+  const std::uint64_t scanned = world_.adv_candidates_scanned();
+  run_for(sim::Duration::sec(1));
+  EXPECT_EQ(world_.adv_candidates_scanned() - scanned,
+            4 * (world_.adv_events_routed() - routed));
+  EXPECT_GE(heard[1], 1000);
+
+  adv.stop_advertising();
+  early.start_advertising();
+  const std::uint64_t scanned_before_2 = world_.adv_candidates_scanned();
+  run_for(sim::Duration::sec(1));
+  EXPECT_EQ(world_.adv_candidates_scanned(), scanned_before_2);
+  EXPECT_EQ(heard.count(2), 0u);
+  EXPECT_EQ(world_.adv_full_scans(), 0u);
 }
 
 }  // namespace

@@ -160,23 +160,49 @@ TEST(EventQueue, SameTimeFifoIgnoresSlotNumbers) {
 }
 
 TEST(EventQueue, TouchHintNeverChangesOrder) {
-  // Hints of every shape (none, empty, off a line boundary, past the
-  // 255-line cap) leave what fires, and when, exactly as without them.
+  // Hints of every shape leave what fires, and when, exactly as without them:
+  // no spans, null and zero-byte spans (first, between and after real ones),
+  // spans off a line boundary, past the 255-line cap, and all four spans
+  // in use. Cancelling some events recycles slots under other hint shapes.
   std::vector<char> buf(64 * 1024);
-  const std::array<Touch, 5> hints{Touch{}, Touch{buf.data(), 0}, Touch{buf.data() + 3, 64},
-                                   Touch{buf.data() + 100, 490}, Touch{buf.data(), buf.size()}};
+  const TouchSpan none{};
+  const TouchSpan empty{buf.data(), 0};
+  const TouchSpan null_sized{nullptr, 128};
+  const TouchSpan odd{buf.data() + 3, 64};
+  const TouchSpan mid{buf.data() + 100, 490};
+  const TouchSpan huge{buf.data(), buf.size()};
+  const std::array<Touch, 8> hints{
+      Touch{},
+      Touch{{empty}},
+      Touch{{odd}},
+      Touch{{huge}},
+      Touch{{none, null_sized, mid}},
+      Touch{{odd, empty, huge, mid}},
+      Touch{{mid, odd, huge, TouchSpan{buf.data() + 5000, 1}}},
+      Touch{{empty, none, null_sized, huge}}};
   const auto run = [&](bool hinted) {
     EventQueue q;
     std::vector<std::pair<std::int64_t, int>> fired;
-    for (int i = 0; i < 40; ++i) {
+    std::vector<EventId> ids;
+    for (int i = 0; i < 80; ++i) {
       const auto at = TimePoint::from_ns((i * 7) % 5);
       const Touch hint = hinted ? hints[static_cast<std::size_t>(i) % hints.size()] : Touch{};
-      q.schedule(at, [&fired, at, i] { fired.emplace_back(at.count_ns(), i); }, hint);
+      ids.push_back(
+          q.schedule(at, [&fired, at, i] { fired.emplace_back(at.count_ns(), i); }, hint));
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
+    for (int i = 0; i < 40; ++i) {
+      const auto at = TimePoint::from_ns(3 + (i * 11) % 7);
+      const Touch hint =
+          hinted ? hints[static_cast<std::size_t>(i + 3) % hints.size()] : Touch{};
+      q.schedule(at, [&fired, at, i] { fired.emplace_back(at.count_ns(), 100 + i); }, hint);
     }
     while (!q.empty()) q.pop().action();
     return fired;
   };
-  EXPECT_EQ(run(true), run(false));
+  const auto hinted = run(true);
+  EXPECT_EQ(hinted.size(), 80u - 27u + 40u);
+  EXPECT_EQ(hinted, run(false));
 }
 
 TEST(EventQueue, CancelPreventsExecution) {
