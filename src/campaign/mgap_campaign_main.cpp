@@ -93,8 +93,8 @@ int main(int argc, char** argv) {
 
   try {
     mgap::campaign::CampaignSpec spec = mgap::campaign::load_campaign_spec(spec_path);
-    // Apply MGAP_TIME_SCALE to the per-cell duration, as the benches do.
-    spec.base.duration = mgap::testbed::scaled_duration(spec.base.duration);
+    // Apply MGAP_TIME_SCALE to the per-cell duration, as run_experiment does.
+    mgap::testbed::apply_time_scale(spec.base);
 
     const auto configs = mgap::campaign::expand_grid(spec);
     if (dry_run) {

@@ -114,6 +114,17 @@ void BleConnBackend::fold_counters(obs::Registry& reg) const {
       reg.count("l2cap.credit_stalls", ctrl->id(), static_cast<double>(stalls));
     }
   }
+  // The two ablation counters follow the same nonzero-only rule: the
+  // param-update repair's churn, and the data PDUs still sent on channel 22
+  // (zero unless the default channel-map exclusion is off).
+  for (const auto& [id, sc] : statconns_) {
+    if (sc->param_updates() > 0) {
+      reg.count("statconn.param_updates", id, static_cast<double>(sc->param_updates()));
+    }
+  }
+  std::uint64_t ch22_tx = 0;
+  for (const ble::LinkStats* ls : world_->all_link_stats()) ch22_tx += ls->chan_tx[22];
+  if (ch22_tx > 0) reg.count("ble.ch22_pdu_tx", 0, static_cast<double>(ch22_tx));
   // Self-forming worlds only, so wired runs keep their exact column set.
   for (const auto& [id, dc] : dynconns_) {
     reg.count("dynconn.uplink_losses", id, static_cast<double>(dc->uplink_losses()));

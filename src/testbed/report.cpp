@@ -1,6 +1,5 @@
 #include "testbed/report.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -13,25 +12,6 @@ void print_rtt_quantiles(const char* label, const RttHistogram& hist) {
               hist.quantile(0.10).to_ms_f(), hist.quantile(0.50).to_ms_f(),
               hist.quantile(0.90).to_ms_f(), hist.quantile(0.99).to_ms_f(),
               hist.max_seen().to_ms_f());
-}
-
-void print_pdr_timeline(const char* label, const Metrics& metrics, std::size_t stride) {
-  const auto timeline = metrics.timeline();
-  std::printf("%s (bucket %llds, PDR per bucket):\n", label,
-              static_cast<long long>(metrics.bucket_width().count_ns() / 1'000'000'000));
-  std::size_t col = 0;
-  for (std::size_t i = 0; i < timeline.size(); i += stride) {
-    std::uint64_t sent = 0;
-    std::uint64_t acked = 0;
-    for (std::size_t j = i; j < std::min(i + stride, timeline.size()); ++j) {
-      sent += timeline[j].sent;
-      acked += timeline[j].acked;
-    }
-    const double pdr = sent == 0 ? 1.0 : static_cast<double>(acked) / static_cast<double>(sent);
-    std::printf(" %5.3f", pdr);
-    if (++col % 12 == 0) std::printf("\n");
-  }
-  if (col % 12 != 0) std::printf("\n");
 }
 
 void print_topology_line(const ExperimentSummary& s) {
@@ -83,6 +63,21 @@ sim::Duration scaled_duration(sim::Duration d, sim::Duration min_d) {
     return d;
   }
   return sim::max(d.scaled(scale), min_d);
+}
+
+void apply_time_scale(ExperimentConfig& cfg) {
+  const sim::Duration full = cfg.duration;
+  cfg.duration = scaled_duration(full);
+  if (cfg.duration == full) return;
+  for (const auto& [key, ev] : cfg.faults) {
+    if (ev.at.since_origin() >= cfg.duration) {
+      std::fprintf(stderr,
+                   "warning: MGAP_TIME_SCALE ends the run at %s, before %s (at=%s) "
+                   "fires\n",
+                   cfg.duration.str().c_str(), key.c_str(),
+                   ev.at.since_origin().str().c_str());
+    }
+  }
 }
 
 }  // namespace mgap::testbed

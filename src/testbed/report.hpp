@@ -1,6 +1,6 @@
 #pragma once
-// Console reporting helpers shared by the bench binaries: fixed-width tables,
-// RTT quantiles, and sparkline-style timelines that mirror the paper's plots.
+// Console reporting helpers shared by the bench binaries and the runners:
+// fixed-width tables, RTT quantiles, and MGAP_TIME_SCALE.
 
 #include <cstdio>
 #include <string>
@@ -12,10 +12,6 @@ namespace mgap::testbed {
 
 /// Prints "label: n p10 p50 p90 p99 max" quantiles of an RTT histogram.
 void print_rtt_quantiles(const char* label, const RttHistogram& hist);
-
-/// Prints an aggregate PDR-vs-time line ("timeline") with one column per
-/// `stride` buckets.
-void print_pdr_timeline(const char* label, const Metrics& metrics, std::size_t stride = 1);
 
 /// Prints one summary row (PDR, LL PDR, losses, RTT percentiles).
 void print_summary_row(const char* label, const ExperimentSummary& s);
@@ -33,5 +29,9 @@ void print_topology_line(const ExperimentSummary& s);
 /// on stderr and the unscaled duration is used.
 [[nodiscard]] sim::Duration scaled_duration(sim::Duration d,
                                             sim::Duration min_d = sim::Duration::sec(60));
+
+/// Applies scaled_duration to `cfg.duration` and warns on stderr, naming the
+/// key, for every fault.N at or after the scaled end: that fault never fires.
+void apply_time_scale(ExperimentConfig& cfg);
 
 }  // namespace mgap::testbed

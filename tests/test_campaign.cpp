@@ -4,17 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/aggregate.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/writers.hpp"
+#include "testbed/config_file.hpp"
 #include "testbed/report.hpp"
 
 namespace mgap::campaign {
@@ -474,6 +477,41 @@ TEST(ScaledDuration, RejectsMalformedTimeScale) {
   EXPECT_EQ(scaled_with("0.001"), sim::Duration::sec(60));
   ::unsetenv("MGAP_TIME_SCALE");
   EXPECT_EQ(testbed::scaled_duration(d), d);
+}
+
+// A fault.N time is absolute, so a scaled run can end before it; each such
+// fault is named once on stderr, and nothing else changes.
+TEST(ScaledDuration, WarnsForEachFaultPastTheScaledEnd) {
+  testbed::ExperimentConfig cfg =
+      testbed::parse_experiment_config("duration = 10m\n"
+                                       "fault.0 = crash node=2 at=2m reboot_after=10s\n"
+                                       "fault.1 = blackout link=6-1 at=5m for=8s\n"
+                                       "fault.2 = blackout link=6-1 at=8m for=8s\n");
+  const auto apply_with = [&cfg](const char* value) {
+    testbed::ExperimentConfig scaled = cfg;
+    ::setenv("MGAP_TIME_SCALE", value, 1);
+    testing::internal::CaptureStderr();
+    testbed::apply_time_scale(scaled);
+    const std::string err = testing::internal::GetCapturedStderr();
+    ::unsetenv("MGAP_TIME_SCALE");
+    EXPECT_EQ(scaled.faults.size(), cfg.faults.size());
+    return std::make_pair(scaled.duration, err);
+  };
+  // 10 m x 0.5 ends at 5 m: the fault at 5 m is dropped too.
+  const auto [half, half_err] = apply_with("0.5");
+  EXPECT_EQ(half, sim::Duration::minutes(5));
+  EXPECT_EQ(half_err.find("fault.0"), std::string::npos) << half_err;
+  EXPECT_NE(half_err.find("fault.1"), std::string::npos) << half_err;
+  EXPECT_NE(half_err.find("fault.2"), std::string::npos) << half_err;
+  EXPECT_EQ(std::count(half_err.begin(), half_err.end(), '\n'), 2) << half_err;
+  // Every fault still fires: no warning.
+  const auto [most, most_err] = apply_with("0.9");
+  EXPECT_EQ(most, sim::Duration::minutes(9));
+  EXPECT_EQ(most_err, "");
+  // Unscaled runs never warn.
+  const auto [full, full_err] = apply_with("");
+  EXPECT_EQ(full, cfg.duration);
+  EXPECT_EQ(full_err, "");
 }
 
 }  // namespace

@@ -328,7 +328,10 @@ TEST(ConfigFile, ShippedSampleConfigsParse) {
        {"fig7_tree.conf", "fig7_line.conf", "fig08a_interval.campaign",
         "fig08b_producer.campaign", "fig10_802154.conf", "fig10_ble25.conf",
         "fig13_24h.campaign", "fig14_losses.campaign", "fig15_grid.campaign",
-        "abl_coap_retransmission.campaign"}) {
+        "abl_coap_retransmission.campaign", "fig09a_high_load.conf",
+        "fig09b_slow_interval.conf", "fault_recovery.conf",
+        "abl_mitigation_designs.campaign", "abl_adaptive_channel_map.campaign",
+        "tab01_radio.campaign"}) {
     EXPECT_TRUE(std::filesystem::is_regular_file(kExperimentsDir / name)) << name;
   }
 }

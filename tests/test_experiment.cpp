@@ -114,6 +114,44 @@ TEST(ExperimentIntegration, JammedChannelHurtsWithoutExclusion) {
   EXPECT_GT(ew.summary().ll_pdr, eo.summary().ll_pdr);
 }
 
+// The two ablation counters are registered only when nonzero, so a default
+// run's counter set, and every campaign column derived from it, stays put.
+TEST(ExperimentIntegration, AblationCountersAbsentByDefault) {
+  Experiment e{short_tree()};
+  e.run();
+  const auto s = e.summary();
+  EXPECT_FALSE(s.counters.contains("statconn.param_updates"));
+  EXPECT_FALSE(s.counters.contains("ble.ch22_pdu_tx"));
+}
+
+TEST(ExperimentIntegration, ParamUpdateCounterSumsEveryStatconn) {
+  ExperimentConfig cfg = short_tree();
+  cfg.param_update_mitigation = true;
+  Experiment e{cfg};
+  e.run();
+  std::uint64_t updates = 0;
+  for (const NodeId n : cfg.topology.nodes) updates += e.statconn(n)->param_updates();
+  ASSERT_GT(updates, 0u);
+  const auto s = e.summary();
+  ASSERT_TRUE(s.counters.contains("statconn.param_updates"));
+  EXPECT_EQ(s.counters.at("statconn.param_updates"), static_cast<double>(updates));
+}
+
+TEST(ExperimentIntegration, Channel22CounterSumsEveryLink) {
+  ExperimentConfig cfg = short_tree();
+  cfg.exclude_channel_22 = false;
+  Experiment e{cfg};
+  e.run();
+  std::uint64_t ch22_tx = 0;
+  for (const ble::LinkStats* ls : e.ble_world()->all_link_stats()) {
+    ch22_tx += ls->chan_tx[22];
+  }
+  ASSERT_GT(ch22_tx, 0u);
+  const auto s = e.summary();
+  ASSERT_TRUE(s.counters.contains("ble.ch22_pdu_tx"));
+  EXPECT_EQ(s.counters.at("ble.ch22_pdu_tx"), static_cast<double>(ch22_tx));
+}
+
 TEST(ExperimentIntegration, DeterministicUnderSameSeed) {
   Experiment a{short_tree(11)};
   a.run();
