@@ -13,6 +13,7 @@
 // that ran.
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
   const auto s = e->summary();
   print_topology_line(s);
   print_summary_header();
-  print_summary_row(argv[1], s);
+  print_summary_row(std::filesystem::path{argv[1]}.stem().c_str(), s);
   print_rtt_quantiles("RTT", e->metrics().rtt());
   std::printf("pktbuf drops: %llu, link-down drops: %llu\n",
               static_cast<unsigned long long>(s.pktbuf_drops),

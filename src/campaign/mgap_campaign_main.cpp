@@ -7,7 +7,8 @@
 // comma-separated value list turns the key into a grid axis, `seeds = 1..10`
 // declares the replication seeds (see examples/experiments/*.campaign).
 // Cells run in parallel across threads; output is byte-identical for any
-// thread count. MGAP_TIME_SCALE shortens per-cell durations as usual.
+// thread count. MGAP_TIME_SCALE shortens every cell's duration, a `duration`
+// axis included.
 
 #include <charconv>
 #include <cstdio>
@@ -92,10 +93,7 @@ int main(int argc, char** argv) {
   if (spec_path.empty()) return usage(argv[0]);
 
   try {
-    mgap::campaign::CampaignSpec spec = mgap::campaign::load_campaign_spec(spec_path);
-    // Apply MGAP_TIME_SCALE to the per-cell duration, as run_experiment does.
-    mgap::testbed::apply_time_scale(spec.base);
-
+    const mgap::campaign::CampaignSpec spec = mgap::campaign::load_campaign_spec(spec_path);
     const auto configs = mgap::campaign::expand_grid(spec);
     if (dry_run) {
       std::printf("campaign '%s': %zu configuration(s) x %zu seed(s) = %zu cell(s)\n",
@@ -111,6 +109,8 @@ int main(int argc, char** argv) {
     mgap::campaign::RunnerOptions options;
     options.threads = threads;
     options.progress = !quiet;
+    // MGAP_TIME_SCALE shortens every cell, as run_experiment does.
+    options.time_scale = mgap::testbed::time_scale();
     mgap::campaign::CampaignRunner runner{options};
     const mgap::campaign::CampaignResult result = runner.run(spec);
 

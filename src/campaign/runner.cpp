@@ -7,6 +7,8 @@
 #include <mutex>
 #include <thread>
 
+#include "testbed/report.hpp"
+
 namespace mgap::campaign {
 
 namespace {
@@ -99,6 +101,11 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) {
   result.name = spec.name;
   result.seeds = spec.effective_seeds();
   result.configs = expand_grid(spec);
+  if (options_.time_scale) {
+    for (CellConfig& c : result.configs) {
+      testbed::apply_time_scale(c.config, *options_.time_scale, c.label());
+    }
+  }
 
   const std::size_t n_seeds = result.seeds.size();
   const std::size_t n_cells = result.configs.size() * n_seeds;

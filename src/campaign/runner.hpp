@@ -20,6 +20,7 @@
 // -fsanitize=thread.
 
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "campaign/aggregate.hpp"
@@ -33,6 +34,9 @@ struct RunnerOptions {
   /// Live progress (cells done, per-cell wall time, ETA) on `progress_stream`.
   bool progress{true};
   std::FILE* progress_stream{stderr};
+  /// When set, every expanded cell's duration is scaled by it (60 s floor),
+  /// so a `duration` axis shrinks like the base (testbed::apply_time_scale).
+  std::optional<double> time_scale;
 };
 
 struct CampaignResult {

@@ -12,7 +12,7 @@
 namespace mgap::campaign {
 
 /// `include_code_version` embeds the build fingerprint (sim::code_version())
-/// as result metadata. The bench harness passes false: its committed FNV-1a
+/// as result metadata. perfbench passes false: its recorded FNV-1a
 /// fingerprints must stay stable across commits.
 [[nodiscard]] std::string to_json(const CampaignResult& result,
                                   bool include_code_version = true);

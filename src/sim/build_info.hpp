@@ -3,7 +3,8 @@
 // "git:<short-hash>" with a "+dirty" suffix for uncommitted changes, or
 // "unknown" outside a git checkout. Campaign JSON/CSV outputs embed it so
 // result files are traceable to the code that produced them; writers that
-// need byte-stable output across commits (the bench fingerprints) omit it.
+// need byte-stable output across commits (perfbench's fingerprints) omit it;
+// the golden tests drop its line before comparing.
 
 namespace mgap::sim {
 

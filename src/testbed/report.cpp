@@ -45,9 +45,9 @@ std::string format_mean_ci(double mean, double ci95, int precision) {
   return std::string{buf};
 }
 
-sim::Duration scaled_duration(sim::Duration d, sim::Duration min_d) {
+std::optional<double> time_scale() {
   const char* env = std::getenv("MGAP_TIME_SCALE");
-  if (env == nullptr || *env == '\0') return d;
+  if (env == nullptr || *env == '\0') return std::nullopt;
   char* end = nullptr;
   errno = 0;
   const double scale = std::strtod(env, &end);
@@ -60,24 +60,34 @@ sim::Duration scaled_duration(sim::Duration d, sim::Duration min_d) {
                  "warning: ignoring MGAP_TIME_SCALE='%s' (want a number with "
                  "0 < scale <= 1); running unscaled\n",
                  env);
-    return d;
+    return std::nullopt;
   }
-  return sim::max(d.scaled(scale), min_d);
+  return scale;
 }
 
-void apply_time_scale(ExperimentConfig& cfg) {
+sim::Duration scaled_duration(sim::Duration d, sim::Duration min_d) {
+  const std::optional<double> scale = time_scale();
+  return scale ? sim::max(d.scaled(*scale), min_d) : d;
+}
+
+void apply_time_scale(ExperimentConfig& cfg, double scale, const std::string& cell) {
   const sim::Duration full = cfg.duration;
-  cfg.duration = scaled_duration(full);
+  cfg.duration = sim::max(full.scaled(scale), sim::Duration::sec(60));
   if (cfg.duration == full) return;
+  const std::string run = cell.empty() ? "the run" : "cell '" + cell + "'";
   for (const auto& [key, ev] : cfg.faults) {
     if (ev.at.since_origin() >= cfg.duration) {
       std::fprintf(stderr,
-                   "warning: MGAP_TIME_SCALE ends the run at %s, before %s (at=%s) "
+                   "warning: MGAP_TIME_SCALE ends %s at %s, before %s (at=%s) "
                    "fires\n",
-                   cfg.duration.str().c_str(), key.c_str(),
+                   run.c_str(), cfg.duration.str().c_str(), key.c_str(),
                    ev.at.since_origin().str().c_str());
     }
   }
+}
+
+void apply_time_scale(ExperimentConfig& cfg) {
+  if (const std::optional<double> scale = time_scale()) apply_time_scale(cfg, *scale);
 }
 
 }  // namespace mgap::testbed

@@ -514,5 +514,41 @@ TEST(ScaledDuration, WarnsForEachFaultPastTheScaledEnd) {
   EXPECT_EQ(full_err, "");
 }
 
+// MGAP_TIME_SCALE shrinks every expanded cell, a `duration` axis included,
+// and a fault past one cell's scaled end is named with that cell.
+TEST(ScaledDuration, ScalesEveryCellOfADurationAxis) {
+  const std::string world = "topology = star5\n"
+                            "producer_interval = 1s\n"
+                            "fault.0 = crash node=2 at=90s reboot_after=10s\n";
+  RunnerOptions options;
+  options.threads = 1;
+  options.progress = false;
+  const CampaignResult direct =
+      CampaignRunner{options}.run(parse_campaign_spec(world + "duration = 60s, 120s\n"));
+
+  ::setenv("MGAP_TIME_SCALE", "0.1", 1);
+  options.time_scale = testbed::time_scale();
+  ::unsetenv("MGAP_TIME_SCALE");
+  ASSERT_EQ(options.time_scale, 0.1);
+  testing::internal::CaptureStderr();
+  const CampaignResult scaled =
+      CampaignRunner{options}.run(parse_campaign_spec(world + "duration = 600s, 1200s\n"));
+  const std::string err = testing::internal::GetCapturedStderr();
+
+  ASSERT_EQ(scaled.configs.size(), 2u);
+  EXPECT_EQ(scaled.configs[0].config.duration, sim::Duration::sec(60));
+  EXPECT_EQ(scaled.configs[1].config.duration, sim::Duration::sec(120));
+  ASSERT_EQ(scaled.cells.size(), direct.cells.size());
+  for (std::size_t i = 0; i < scaled.cells.size(); ++i) {
+    EXPECT_EQ(scaled.cells[i].summary.sent, direct.cells[i].summary.sent) << i;
+    EXPECT_EQ(scaled.cells[i].summary.acked, direct.cells[i].summary.acked) << i;
+  }
+  EXPECT_GT(direct.cells[1].summary.sent, direct.cells[0].summary.sent);
+  // Only the 60 s cell ends before the crash at 90 s.
+  EXPECT_NE(err.find("cell 'duration=600s' at 60s, before fault.0"), std::string::npos)
+      << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+}
+
 }  // namespace
 }  // namespace mgap::campaign
