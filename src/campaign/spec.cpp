@@ -1,10 +1,11 @@
 #include "campaign/spec.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "sim/number.hpp"
 
 namespace mgap::campaign {
 
@@ -22,17 +23,6 @@ std::vector<std::string_view> split(std::string_view s, char sep) {
     pos = next + 1;
   }
   return out;
-}
-
-std::uint64_t parse_u64(std::string_view s, const char* what) {
-  std::uint64_t v{};
-  const auto* end = s.data() + s.size();
-  const auto res = std::from_chars(s.data(), end, v);
-  if (res.ec != std::errc{} || res.ptr != end) {
-    throw std::runtime_error{std::string{"campaign: bad "} + what + " '" +
-                             std::string(s) + "'"};
-  }
-  return v;
 }
 
 }  // namespace
@@ -105,18 +95,23 @@ std::vector<CellConfig> expand_grid(const CampaignSpec& spec) {
 std::vector<std::uint64_t> parse_seed_list(std::string_view text) {
   text = trim(text);
   if (text.empty()) throw std::runtime_error{"campaign: empty seed list"};
+  const auto seed = [](std::string_view s) {
+    const auto v = sim::parse_uint(s);
+    if (!v) throw std::runtime_error{"campaign: bad seed '" + std::string(s) + "'"};
+    return *v;
+  };
   std::vector<std::uint64_t> seeds;
   const auto dots = text.find("..");
   if (dots != std::string_view::npos && text.find(',') == std::string_view::npos) {
-    const std::uint64_t lo = parse_u64(trim(text.substr(0, dots)), "seed");
-    const std::uint64_t hi = parse_u64(trim(text.substr(dots + 2)), "seed");
+    const std::uint64_t lo = seed(trim(text.substr(0, dots)));
+    const std::uint64_t hi = seed(trim(text.substr(dots + 2)));
     if (hi < lo) throw std::runtime_error{"campaign: seed range hi < lo"};
     if (hi - lo >= 100'000) throw std::runtime_error{"campaign: seed range too large"};
     for (std::uint64_t s = lo; s <= hi; ++s) seeds.push_back(s);
     return seeds;
   }
   for (const std::string_view part : split(text, ',')) {
-    seeds.push_back(parse_u64(part, "seed"));
+    seeds.push_back(seed(part));
   }
   return seeds;
 }

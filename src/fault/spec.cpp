@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
-#include <sstream>
+#include <iterator>
+#include <span>
 #include <stdexcept>
+
+#include "sim/binders.hpp"
 
 namespace mgap::fault {
 
@@ -14,118 +16,114 @@ namespace {
   throw std::runtime_error{"fault: " + what};
 }
 
-std::optional<double> parse_number(std::string_view s) {
-  double v{};
-  const auto* end = s.data() + s.size();
-  const auto res = std::from_chars(s.data(), end, v);
-  if (res.ec != std::errc{} || res.ptr != end) return std::nullopt;
-  return v;
-}
+using E = FaultEvent;
+using sim::Opts;
 
-/// Splits "A-B" into two numbers; used for link=2-5 and channels=10-14.
-std::optional<std::pair<std::int64_t, std::int64_t>> parse_range(std::string_view s) {
-  const auto dash = s.find('-');
-  if (dash == std::string_view::npos) return std::nullopt;
-  const auto a = parse_number(s.substr(0, dash));
-  const auto b = parse_number(s.substr(dash + 1));
-  if (!a || !b) return std::nullopt;
-  return std::make_pair(static_cast<std::int64_t>(*a), static_cast<std::int64_t>(*b));
-}
-
-struct KvList {
-  std::vector<std::pair<std::string_view, std::string_view>> items;
-
-  [[nodiscard]] std::optional<std::string_view> get(std::string_view key) const {
-    for (const auto& [k, v] : items) {
-      if (k == key) return v;
-    }
-    return std::nullopt;
-  }
-
-  [[nodiscard]] std::string_view require(std::string_view key,
-                                         std::string_view kind) const {
-    const auto v = get(key);
-    if (!v) fail(std::string(kind) + " needs " + std::string(key) + "=");
-    return *v;
-  }
+/// One `name=value` field of a fault kind. Absent, a required field fails,
+/// an optional one parses its fallback text, if any, else keeps the member's
+/// default. Required fields and those with a fallback always render; the
+/// others only off the default.
+struct Field {
+  std::string_view name;
+  void (*parse)(E&, const Field&, std::string_view value);
+  std::string (*format)(const E&, const Field&);
+  bool required;
+  Opts opt;
+  std::string_view fallback;
 };
 
-sim::Duration require_duration(const KvList& kv, std::string_view key,
-                               std::string_view kind) {
-  const auto d = sim::parse_duration(kv.require(key, kind));
-  if (!d) fail("bad duration for " + std::string(key) + "=");
-  return *d;
+std::string label(const Field& f) { return std::string(f.name) + "="; }
+
+template <auto P>
+void parse_member(E& ev, const Field& f, std::string_view v) {
+  sim::parse_value(ev.*P, v, f.opt, "fault", label(f));
+}
+template <auto P>
+std::string format_member(const E& ev, const Field& f) {
+  return sim::format_value(ev.*P, f.opt);
 }
 
-NodeId require_node(const KvList& kv, std::string_view kind) {
-  const auto n = parse_number(kv.require("node", kind));
-  if (!n || *n < 1) fail("bad node=");
-  return static_cast<NodeId>(*n);
+// "A-B": link=2-5, channels=10-14.
+template <auto A, auto B>
+void parse_span(E& ev, const Field& f, std::string_view v) {
+  sim::parse_pair(ev.*A, ev.*B, '-', v, f.opt, "fault", label(f));
+}
+template <auto A, auto B>
+std::string format_span(const E& ev, const Field& f) {
+  return sim::format_value(ev.*A, f.opt) + "-" + sim::format_value(ev.*B, f.opt);
+}
+
+constexpr bool kRequired = true;
+constexpr bool kOptional = false;
+
+template <auto P>
+constexpr Field field(std::string_view name, bool required, Opts opt = {},
+                      std::string_view fallback = {}) {
+  return {name, parse_member<P>, format_member<P>, required, opt, fallback};
+}
+template <auto A, auto B>
+constexpr Field span(std::string_view name, Opts opt) {
+  return {name, parse_span<A, B>, format_span<A, B>, kRequired, opt, {}};
+}
+
+// kInvalidNode marks "no node", so no field may name it.
+constexpr Opts kNodeId{.lo = 1, .hi = kInvalidNode - 1};
+constexpr Opts kPer{.hi = 1};
+constexpr Opts kRadius{.open_lo = true};  // meters > 0
+
+constexpr Field kAt = field<&E::at>("at", kRequired);
+constexpr Field kNode = field<&E::node>("node", kRequired, kNodeId);
+constexpr Field kFor = field<&E::duration>("for", kRequired);
+constexpr Field kLink = span<&E::node, &E::peer>("link", kNodeId);
+
+constexpr Field kCrash[] = {kNode, kAt, field<&E::duration>("reboot_after", kOptional)};
+constexpr Field kBlackout[] = {kLink, kAt, kFor};
+constexpr Field kAttenuate[] = {kLink, kAt, kFor, field<&E::per>("per", kRequired, kPer)};
+// A radius scopes interference to the nodes around `node`.
+constexpr Field kInterfere[] = {span<&E::chan_lo, &E::chan_hi>("channels", {.hi = 36}),
+                                kAt,
+                                kFor,
+                                field<&E::per>("per", kOptional, kPer, "0.9"),
+                                field<&E::node>("node", kOptional, kNodeId),
+                                field<&E::radius>("radius", kOptional, kRadius)};
+constexpr Field kClockDrift[] = {kNode, kAt, field<&E::ppm>("ppm", kRequired, {.lo = -sim::kInf}),
+                                 field<&E::duration>("for", kOptional)};
+constexpr Field kClockStep[] = {kNode, kAt, field<&E::step>("step", kRequired, {.lo = -sim::kInf})};
+constexpr Field kPressure[] = {kNode, kAt, kFor, field<&E::bytes>("bytes", kRequired, {.lo = 1}),
+                               field<&E::radius>("radius", kOptional, kRadius)};
+
+/// Every fault kind: its name and its fields in render order. Indexed by
+/// FaultKind.
+struct Kind {
+  std::string_view name;
+  std::span<const Field> fields;
+};
+constexpr Kind kKinds[] = {
+    {"crash", kCrash},         {"blackout", kBlackout},     {"attenuate", kAttenuate},
+    {"interfere", kInterfere}, {"clock_drift", kClockDrift}, {"clock_step", kClockStep},
+    {"pressure", kPressure},
+};
+
+const Kind& kind_of(FaultKind kind) { return kKinds[static_cast<std::size_t>(kind)]; }
+
+FaultKind find_kind(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kKinds); ++i) {
+    if (kKinds[i].name == name) return static_cast<FaultKind>(i);
+  }
+  fail("unknown fault kind '" + std::string(name) + "'");
 }
 
 }  // namespace
 
-std::string_view to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash: return "crash";
-    case FaultKind::kBlackout: return "blackout";
-    case FaultKind::kAttenuate: return "attenuate";
-    case FaultKind::kInterfere: return "interfere";
-    case FaultKind::kClockDrift: return "clock_drift";
-    case FaultKind::kClockStep: return "clock_step";
-    case FaultKind::kPressure: return "pressure";
-  }
-  return "?";
-}
-
-std::optional<FaultKind> kind_from_string(std::string_view name) {
-  if (name == "crash") return FaultKind::kCrash;
-  if (name == "blackout") return FaultKind::kBlackout;
-  if (name == "attenuate") return FaultKind::kAttenuate;
-  if (name == "interfere") return FaultKind::kInterfere;
-  if (name == "clock_drift") return FaultKind::kClockDrift;
-  if (name == "clock_step") return FaultKind::kClockStep;
-  if (name == "pressure") return FaultKind::kPressure;
-  return std::nullopt;
-}
-
 std::string FaultEvent::str() const {
-  std::ostringstream out;
-  out << to_string(kind);
-  switch (kind) {
-    case FaultKind::kCrash:
-      out << " node=" << node << " at=" << at.since_origin().str();
-      if (!duration.is_zero()) out << " reboot_after=" << duration.str();
-      break;
-    case FaultKind::kBlackout:
-      out << " link=" << node << "-" << peer << " at=" << at.since_origin().str()
-          << " for=" << duration.str();
-      break;
-    case FaultKind::kAttenuate:
-      out << " link=" << node << "-" << peer << " at=" << at.since_origin().str()
-          << " for=" << duration.str() << " per=" << per;
-      break;
-    case FaultKind::kInterfere:
-      out << " channels=" << static_cast<int>(chan_lo) << "-"
-          << static_cast<int>(chan_hi) << " at=" << at.since_origin().str()
-          << " for=" << duration.str() << " per=" << per;
-      if (radius > 0.0) out << " node=" << node << " radius=" << radius;
-      break;
-    case FaultKind::kClockDrift:
-      out << " node=" << node << " at=" << at.since_origin().str() << " ppm=" << ppm;
-      if (!duration.is_zero()) out << " for=" << duration.str();
-      break;
-    case FaultKind::kClockStep:
-      out << " node=" << node << " at=" << at.since_origin().str()
-          << " step=" << step.str();
-      break;
-    case FaultKind::kPressure:
-      out << " node=" << node << " at=" << at.since_origin().str()
-          << " for=" << duration.str() << " bytes=" << bytes;
-      if (radius > 0.0) out << " radius=" << radius;
-      break;
+  const Kind& k = kind_of(kind);
+  std::string out{k.name};
+  for (const Field& f : k.fields) {
+    const std::string value = f.format(*this, f);
+    if (!f.required && f.fallback.empty() && value == f.format(FaultEvent{}, f)) continue;
+    out.append(" ").append(f.name).append("=").append(value);
   }
-  return out.str();
+  return out;
 }
 
 FaultEvent parse_fault_event(std::string_view text) {
@@ -145,141 +143,37 @@ FaultEvent parse_fault_event(std::string_view text) {
   }
   if (tokens.empty()) fail("empty fault spec");
 
-  const auto kind = kind_from_string(tokens.front());
-  if (!kind) fail("unknown fault kind '" + std::string(tokens.front()) + "'");
-
-  KvList kv;
+  FaultEvent ev;
+  ev.kind = find_kind(tokens.front());
+  const Kind& kind = kind_of(ev.kind);
+  std::vector<bool> seen(kind.fields.size());
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     const auto eq = tokens[i].find('=');
     if (eq == std::string_view::npos || eq == 0) {
       fail("expected key=value, got '" + std::string(tokens[i]) + "'");
     }
-    kv.items.emplace_back(tokens[i].substr(0, eq), tokens[i].substr(eq + 1));
+    const std::string_view key = tokens[i].substr(0, eq);
+    const auto f = std::find_if(kind.fields.begin(), kind.fields.end(),
+                                [key](const Field& x) { return x.name == key; });
+    if (f == kind.fields.end()) {
+      fail("unknown key '" + std::string(key) + "' for " + std::string(kind.name));
+    }
+    f->parse(ev, *f, tokens[i].substr(eq + 1));
+    seen[static_cast<std::size_t>(f - kind.fields.begin())] = true;
+  }
+  for (std::size_t i = 0; i < kind.fields.size(); ++i) {
+    const Field& f = kind.fields[i];
+    if (seen[i]) continue;
+    if (f.required) fail(std::string(kind.name) + " needs " + label(f));
+    if (!f.fallback.empty()) f.parse(ev, f, f.fallback);
   }
 
-  auto check_keys = [&kv](std::initializer_list<std::string_view> allowed) {
-    for (const auto& [k, v] : kv.items) {
-      if (std::find(allowed.begin(), allowed.end(), k) == allowed.end()) {
-        fail("unknown key '" + std::string(k) + "'");
-      }
-    }
-  };
-  switch (*kind) {
-    case FaultKind::kCrash: check_keys({"node", "at", "reboot_after"}); break;
-    case FaultKind::kBlackout: check_keys({"link", "at", "for"}); break;
-    case FaultKind::kAttenuate: check_keys({"link", "at", "for", "per"}); break;
-    case FaultKind::kInterfere:
-      check_keys({"channels", "at", "for", "per", "node", "radius"});
-      break;
-    case FaultKind::kClockDrift: check_keys({"node", "at", "ppm", "for"}); break;
-    case FaultKind::kClockStep: check_keys({"node", "at", "step"}); break;
-    case FaultKind::kPressure:
-      check_keys({"node", "at", "for", "bytes", "radius"});
-      break;
+  // The rules that span fields.
+  if (ev.peer != kInvalidNode && ev.node == ev.peer) fail("link= needs two distinct nodes");
+  if (ev.chan_lo > ev.chan_hi) fail("channels= needs LO <= HI");
+  if (ev.kind == FaultKind::kInterfere && (ev.node == kInvalidNode) != (ev.radius == 0.0)) {
+    fail("interfere takes node= and radius= together");
   }
-
-  FaultEvent ev;
-  ev.kind = *kind;
-  ev.at = sim::TimePoint::origin() + require_duration(kv, "at", to_string(*kind));
-
-  auto parse_link = [&kv, kind, &ev] {
-    const auto range = parse_range(kv.require("link", to_string(*kind)));
-    if (!range || range->first < 1 || range->second < 1 ||
-        range->first == range->second) {
-      fail("bad link= (want link=A-B with distinct node ids)");
-    }
-    ev.node = static_cast<NodeId>(range->first);
-    ev.peer = static_cast<NodeId>(range->second);
-  };
-  auto parse_per = [&kv, &ev](bool required, double fallback) {
-    const auto v = kv.get("per");
-    if (!v) {
-      if (required) fail("needs per=");
-      ev.per = fallback;
-      return;
-    }
-    const auto p = parse_number(*v);
-    if (!p || *p < 0.0 || *p > 1.0) fail("bad per= (want a value in [0,1])");
-    ev.per = *p;
-  };
-
-  switch (*kind) {
-    case FaultKind::kCrash: {
-      ev.node = require_node(kv, "crash");
-      if (const auto v = kv.get("reboot_after")) {
-        const auto d = sim::parse_duration(*v);
-        if (!d || d->is_negative()) fail("bad reboot_after=");
-        ev.duration = *d;
-      }
-      break;
-    }
-    case FaultKind::kBlackout: {
-      parse_link();
-      ev.duration = require_duration(kv, "for", "blackout");
-      ev.per = 1.0;
-      break;
-    }
-    case FaultKind::kAttenuate: {
-      parse_link();
-      ev.duration = require_duration(kv, "for", "attenuate");
-      parse_per(/*required=*/true, 1.0);
-      break;
-    }
-    case FaultKind::kInterfere: {
-      const auto range = parse_range(kv.require("channels", "interfere"));
-      if (!range || range->first < 0 || range->second > 36 ||
-          range->first > range->second) {
-        fail("bad channels= (want channels=LO-HI within 0-36)");
-      }
-      ev.chan_lo = static_cast<std::uint8_t>(range->first);
-      ev.chan_hi = static_cast<std::uint8_t>(range->second);
-      ev.duration = require_duration(kv, "for", "interfere");
-      parse_per(/*required=*/false, 0.9);
-      // Spatial scope: radius-bounded interference centered on a node.
-      if (const auto v = kv.get("radius")) {
-        const auto r = parse_number(*v);
-        if (!r || *r <= 0.0) fail("bad radius= (want meters > 0)");
-        ev.radius = *r;
-        ev.node = require_node(kv, "interfere with radius");
-      } else if (kv.get("node")) {
-        fail("interfere node= needs radius=");
-      }
-      break;
-    }
-    case FaultKind::kClockDrift: {
-      ev.node = require_node(kv, "clock_drift");
-      const auto p = parse_number(kv.require("ppm", "clock_drift"));
-      if (!p) fail("bad ppm=");
-      ev.ppm = *p;
-      if (const auto v = kv.get("for")) {
-        const auto d = sim::parse_duration(*v);
-        if (!d || d->is_negative()) fail("bad for=");
-        ev.duration = *d;
-      }
-      break;
-    }
-    case FaultKind::kClockStep: {
-      ev.node = require_node(kv, "clock_step");
-      const auto d = sim::parse_duration(kv.require("step", "clock_step"));
-      if (!d) fail("bad step=");
-      ev.step = *d;
-      break;
-    }
-    case FaultKind::kPressure: {
-      ev.node = require_node(kv, "pressure");
-      ev.duration = require_duration(kv, "for", "pressure");
-      const auto b = parse_number(kv.require("bytes", "pressure"));
-      if (!b || *b < 1) fail("bad bytes=");
-      ev.bytes = static_cast<std::size_t>(*b);
-      if (const auto v = kv.get("radius")) {
-        const auto r = parse_number(*v);
-        if (!r || *r <= 0.0) fail("bad radius= (want meters > 0)");
-        ev.radius = *r;
-      }
-      break;
-    }
-  }
-  if (ev.at < sim::TimePoint::origin()) fail("at= must not be negative");
   return ev;
 }
 
@@ -292,9 +186,7 @@ std::vector<FaultKind> parse_kind_list(std::string_view text) {
         text.substr(pos, plus == std::string_view::npos ? std::string_view::npos
                                                         : plus - pos);
     if (!item.empty()) {
-      const auto kind = kind_from_string(item);
-      if (!kind) fail("unknown fault kind '" + std::string(item) + "'");
-      out.push_back(*kind);
+      out.push_back(find_kind(item));
     }
     if (plus == std::string_view::npos) break;
     pos = plus + 1;
@@ -306,7 +198,7 @@ std::string render_kind_list(const std::vector<FaultKind>& kinds) {
   std::string out;
   for (const FaultKind k : kinds) {
     if (!out.empty()) out += '+';
-    out += to_string(k);
+    out += kind_of(k).name;
   }
   return out;
 }
@@ -318,12 +210,10 @@ std::vector<FaultEvent> sample_chaos(const ChaosConfig& cfg,
   std::vector<FaultEvent> out;
   if (!cfg.enabled() || nodes.empty()) return out;
 
-  static constexpr FaultKind kAll[] = {
-      FaultKind::kCrash,     FaultKind::kBlackout,  FaultKind::kAttenuate,
-      FaultKind::kInterfere, FaultKind::kClockDrift, FaultKind::kClockStep,
-      FaultKind::kPressure};
   std::vector<FaultKind> kinds = cfg.kinds;
-  if (kinds.empty()) kinds.assign(std::begin(kAll), std::end(kAll));
+  if (kinds.empty()) {
+    for (std::size_t i = 0; i < std::size(kKinds); ++i) kinds.push_back(static_cast<FaultKind>(i));
+  }
   // Link faults are impossible without edges.
   if (edges.empty()) {
     kinds.erase(std::remove_if(kinds.begin(), kinds.end(),

@@ -15,9 +15,16 @@
 // and a chaos mode samples whole fault sequences from a seeded distribution,
 // making fault intensity sweepable as a campaign grid axis. Values never
 // contain commas (the campaign axis separator).
+//
+// Each kind's `key=value` fields are rows of one table in spec.cpp: the
+// field name, the FaultEvent member it binds, whether it is required, and
+// its bounds. The table drives parsing, the allowed-key check, the error
+// text and str(); values go through the experiment-config key table's
+// binders (sim/binders.hpp), so a node id, a PER or a duration is checked
+// and spelled the same in a `fault.N` value as in a config key, and reals
+// render in shortest round-trip form.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -38,9 +45,6 @@ enum class FaultKind : std::uint8_t {
   kClockStep,   // node's connection anchors jump by `step` once
   kPressure,    // node's pktbuf loses `bytes` of capacity for `duration`
 };
-
-[[nodiscard]] std::string_view to_string(FaultKind kind);
-[[nodiscard]] std::optional<FaultKind> kind_from_string(std::string_view name);
 
 /// One scheduled fault. Which fields are meaningful depends on `kind`; see
 /// parse_fault_event() for the per-kind syntax.
@@ -72,8 +76,9 @@ struct FaultEvent {
 };
 
 /// Parses one fault declaration: `<kind> key=value ...` with whitespace-
-/// separated tokens. Throws std::runtime_error on unknown kinds, missing
-/// required keys, or malformed values. Accepted per kind:
+/// separated tokens; a repeated key's last value wins. Throws
+/// std::runtime_error on unknown kinds or keys, missing required keys, or
+/// malformed or out-of-bounds values. Accepted per kind:
 ///   crash       node=N at=T [reboot_after=D]
 ///   blackout    link=A-B at=T for=D
 ///   attenuate   link=A-B at=T for=D per=P

@@ -1,13 +1,11 @@
 #include "testbed/config_file.hpp"
 
-#include <array>
 #include <cctype>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <type_traits>
 
+#include "sim/binders.hpp"
 #include "sim/number.hpp"
 #include "topo/spec.hpp"
 
@@ -16,27 +14,15 @@ namespace mgap::testbed {
 namespace {
 
 using C = ExperimentConfig;
-constexpr double kInf = std::numeric_limits<double>::infinity();
+using sim::kInf;
+using sim::Opts;
+using sim::Show;
 
 std::runtime_error bad(std::string_view key) {
   return std::runtime_error{"config: bad " + std::string(key)};
 }
 
 // --- the key table's row type ------------------------------------------------
-
-/// Rows render on every configuration, or only off the default value.
-enum class Show { kAlways, kOffDefault };
-
-/// How a typed row checks and spells its value.
-struct Opts {
-  Show show{Show::kAlways};
-  double lo{-kInf};  // bounds; durations in ns
-  double hi{kInf};   // infinite: no range to state, a violation is "bad"
-  bool open_lo{false};
-  /// Enum and two-word flag rows: the spellings of values 0 and 1. Duration
-  /// rows: two words that also mean zero.
-  std::array<std::string_view, 2> names{};
-};
 
 struct Key;
 /// `key` is the full key: for a prefix row it extends the row's name.
@@ -49,6 +35,8 @@ struct Key {
   Parse parse;
   Render render;
   Opts opt{};
+  /// A typed row renders only where this holds (null: everywhere).
+  bool (*shown)(const C&){nullptr};
 };
 
 std::runtime_error unknown(const Key& k, std::string_view v, std::string_view choices = {}) {
@@ -60,16 +48,6 @@ void line(std::string& out, std::string_view key, std::string_view value) {
   out.append(key).append(" = ").append(value).push_back('\n');
 }
 
-/// Throws unless `v` lies within the row's bounds; `bound` spells a bound.
-template <class Bound>
-void check_bounds(const Key& k, double v, Bound bound) {
-  const Opts& o = k.opt;
-  if (!(v < o.lo || (o.open_lo && v == o.lo) || v > o.hi)) return;
-  if (o.hi == kInf) throw bad(k.name);
-  throw std::runtime_error{"config: " + std::string(k.name) + " out of range " +
-                           (o.open_lo ? "(" : "[") + bound(o.lo) + ", " + bound(o.hi) + "]"};
-}
-
 // --- typed rows: P... is the member-pointer path to the field ----------------
 
 template <auto... P, class Config>
@@ -79,63 +57,20 @@ auto& at(Config& c) {
 
 template <auto... P>
 void parse_field(C& c, const Key& k, std::string_view, std::string_view v) {
-  auto& field = at<P...>(c);
-  using T = std::remove_reference_t<decltype(field)>;
-  const auto& names = k.opt.names;
-  if constexpr (std::is_same_v<T, sim::Duration>) {
-    const bool zero = !names[0].empty() && (v == names[0] || v == names[1]);
-    const auto d = zero ? sim::Duration{} : parse_duration(v);
-    if (!d || d->is_negative()) throw bad(k.name);
-    check_bounds(k, static_cast<double>(d->count_ns()), [](double ns) {
-      return sim::Duration::ns(static_cast<std::int64_t>(ns)).str();
-    });
-    field = *d;
-  } else if constexpr (std::is_same_v<T, double>) {
-    const auto n = sim::parse_real(v);
-    if (!n) throw bad(k.name);
-    check_bounds(k, *n, sim::format_real);
-    field = *n;
-  } else if (!names[0].empty()) {
-    if (v != names[0] && v != names[1]) {
-      throw unknown(k, v, " (" + std::string(names[0]) + "|" + std::string(names[1]) + ")");
-    }
-    field = static_cast<T>(v == names[1]);
-  } else if constexpr (std::is_same_v<T, bool>) {
-    const bool yes = v == "true" || v == "yes" || v == "1";
-    if (!yes && v != "false" && v != "no" && v != "0") {
-      throw std::runtime_error{"config: bad boolean for '" + std::string(k.name) + "'"};
-    }
-    field = yes;
-  } else {
-    const auto n = sim::parse_uint(v);
-    if (!n) throw bad(k.name);
-    check_bounds(k, static_cast<double>(*n),
-                 [](double b) { return std::to_string(static_cast<std::uint64_t>(b)); });
-    field = static_cast<T>(*n);
-  }
+  sim::parse_value(at<P...>(c), v, k.opt, "config", k.name);
 }
 
 template <auto... P>
 void render_field(std::string& out, const C& c, const C& defaults, const Key& k) {
+  if (k.shown != nullptr && !k.shown(c)) return;
   const auto& field = at<P...>(c);
-  using T = std::remove_cvref_t<decltype(field)>;
   if (k.opt.show == Show::kOffDefault && field == at<P...>(defaults)) return;
-  if constexpr (std::is_same_v<T, sim::Duration>) {
-    line(out, k.name, field.str());
-  } else if constexpr (std::is_same_v<T, double>) {
-    line(out, k.name, sim::format_real(field));
-  } else if (!k.opt.names[0].empty()) {
-    line(out, k.name, k.opt.names[static_cast<std::size_t>(field)]);
-  } else if constexpr (std::is_same_v<T, bool>) {
-    line(out, k.name, field ? "true" : "false");
-  } else if constexpr (std::is_integral_v<T>) {
-    line(out, k.name, std::to_string(field));
-  }
+  line(out, k.name, sim::format_value(field, k.opt));
 }
 
 template <auto... P>
-constexpr Key field(std::string_view name, Opts opt = {}) {
-  return {name, parse_field<P...>, render_field<P...>, opt};
+constexpr Key field(std::string_view name, Opts opt = {}, bool (*shown)(const C&) = nullptr) {
+  return {name, parse_field<P...>, render_field<P...>, opt, shown};
 }
 
 // --- hand-written rows ---------------------------------------------------------
@@ -192,30 +127,50 @@ void render_topology(std::string& out, const C& c, const C&, const Key& k) {
        c.topology.name + (sized ? std::to_string(c.topology.nodes.size()) : std::string{"15"}));
 }
 
-// apply_topo_kv's messages carry their own "config: " prefix.
-void parse_topo(C& c, const Key&, std::string_view key, std::string_view v) {
-  topo::apply_topo_kv(c.topo, std::string(key), std::string(v));
+// The generated world's rows render only while a generator is set, and some
+// only for the generator that reads them.
+bool topo_on(const C& c) { return c.topo.enabled(); }
+// A deployment is sized by `area` or, when that is 0, by `density`.
+bool topo_area(const C& c) { return topo_on(c) && c.topo.area > 0; }
+bool topo_density(const C& c) { return topo_on(c) && !(c.topo.area > 0); }
+bool jitter_grid(const C& c) { return c.topo.generator == topo::Generator::kJitterGrid; }
+bool floorplan(const C& c) { return c.topo.generator == topo::Generator::kFloorplan; }
+
+void parse_generator(C& c, const Key& k, std::string_view, std::string_view v) {
+  const auto g = topo::parse_generator(v);
+  if (!g) throw unknown(k, v);
+  c.topo.generator = *g;
 }
-void render_topo(std::string& out, const C& c, const C&, const Key&) {
-  out += topo::render_topo_spec(c.topo);
+void render_generator(std::string& out, const C& c, const C&, const Key& k) {
+  if (topo_on(c)) line(out, k.name, c.topo.generator_name());
+}
+
+// "4x3" -> rooms_x = 4, rooms_y = 3.
+void parse_rooms(C& c, const Key& k, std::string_view, std::string_view v) {
+  sim::parse_pair(c.topo.rooms_x, c.topo.rooms_y, 'x', v, k.opt, "config", k.name);
+}
+void render_rooms(std::string& out, const C& c, const C&, const Key& k) {
+  if (floorplan(c) && c.topo.rooms_x > 0) {
+    line(out, k.name, std::to_string(c.topo.rooms_x) + "x" + std::to_string(c.topo.rooms_y));
+  }
 }
 
 /// "65:85ms" or "65ms:85ms" -> randomized policy; plain duration -> fixed.
 void parse_policy(C& c, const Key& k, std::string_view, std::string_view v) {
   const auto colon = v.find(':');
   if (colon == std::string_view::npos) {
-    const auto d = parse_duration(v);
+    const auto d = sim::parse_duration(v);
     if (!d || d->is_negative()) throw bad(k.name);
     c.policy = core::IntervalPolicy::fixed(*d);
     return;
   }
   const std::string_view lo_s = trim(v.substr(0, colon));
   const std::string_view hi_s = trim(v.substr(colon + 1));
-  const auto hi = parse_duration(hi_s);
-  auto lo = parse_duration(lo_s);
+  const auto hi = sim::parse_duration(hi_s);
+  auto lo = sim::parse_duration(lo_s);
   // The shorthand "65:85ms" puts the unit on the upper bound only.
   if (hi && !lo && sim::parse_real(lo_s)) {
-    lo = parse_duration(std::string(lo_s) +
+    lo = sim::parse_duration(std::string(lo_s) +
                         std::string(hi_s.substr(hi_s.find_first_not_of("0123456789."))));
   }
   if (!lo || !hi || lo->is_negative() || *hi < *lo) throw bad(k.name);
@@ -310,6 +265,7 @@ void render_trace_cats(std::string& out, const C& c, const C& defaults, const Ke
 using F = net::FlowConfig;
 using Cc = app::CoapCcConfig;
 using M = mesh::MeshConfig;
+using T = topo::TopoSpec;
 constexpr Show kOff = Show::kOffDefault;
 
 /// Every config key, in render order. The newer keys render only off their
@@ -318,7 +274,20 @@ constexpr Key kKeys[] = {
     {"radio", parse_radio, render_radio},
     {"link.backend", parse_backend, render_backend},
     {"topology", parse_topology, render_topology},
-    {"topo.", parse_topo, render_topo},
+    {"topo.generator", parse_generator, render_generator},
+    field<&C::topo, &T::nodes>("topo.nodes", {.lo = 1}, topo_on),
+    field<&C::topo, &T::area>("topo.area", {}, topo_area),
+    field<&C::topo, &T::density>("topo.density", {.open_lo = true}, topo_density),
+    field<&C::topo, &T::range>("topo.range", {.open_lo = true}, topo_on),
+    field<&C::topo, &T::max_degree>("topo.max_degree", {kOff}, topo_on),
+    field<&C::topo, &T::grid_jitter>("topo.grid_jitter", {.hi = 1}, jitter_grid),
+    {"topo.rooms", parse_rooms, render_rooms, {.lo = 1}},
+    field<&C::topo, &T::wall_loss_db>("topo.wall_loss_db", {}, floorplan),
+    field<&C::topo, &T::tx_power_dbm>("topo.tx_power_dbm", {kOff, -kInf}, topo_on),
+    field<&C::topo, &T::path_loss_exp>("topo.path_loss_exp", {kOff, 0, kInf, true}, topo_on),
+    field<&C::topo, &T::sensitivity_dbm>("topo.sensitivity_dbm", {kOff, -kInf}, topo_on),
+    field<&C::topo, &T::fade_margin_db>("topo.fade_margin_db", {kOff, 0, kInf, true}, topo_on),
+    field<&C::topo, &T::seed>("topo.seed", {kOff}, topo_on),
     field<&C::duration>("duration"),
     field<&C::producer_interval>("producer_interval"),
     field<&C::producer_jitter>("producer_jitter"),
@@ -326,8 +295,8 @@ constexpr Key kKeys[] = {
     field<&C::supervision_timeout>("supervision_timeout"),
     field<&C::payload_len>("payload_len"),
     field<&C::seed>("seed"),
-    field<&C::base_per>("base_per"),
-    field<&C::drift_ppm_range>("drift_ppm_range"),
+    field<&C::base_per>("base_per", {.hi = 1}),
+    field<&C::drift_ppm_range>("drift_ppm_range", {.lo = -kInf}),
     field<&C::jam_channel_22>("jam_channel_22"),
     field<&C::exclude_channel_22>("exclude_channel_22"),
     field<&C::adaptive_channel_map>("adaptive_channel_map"),
@@ -384,10 +353,6 @@ const Key* find_key(std::string_view key) {
 }
 
 }  // namespace
-
-std::optional<sim::Duration> parse_duration(std::string_view text) {
-  return sim::parse_duration(text);
-}
 
 std::string_view trim(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {

@@ -10,7 +10,6 @@
 // table in config_file.cpp, which drives parsing and rendering alike.
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,9 +17,6 @@
 #include "testbed/experiment.hpp"
 
 namespace mgap::testbed {
-
-/// Parses durations like "150us", "75ms", "1s", "30m", "24h".
-[[nodiscard]] std::optional<sim::Duration> parse_duration(std::string_view text);
 
 /// Strips leading and trailing whitespace.
 [[nodiscard]] std::string_view trim(std::string_view s);

@@ -3,10 +3,13 @@
 // Everything downstream — placement, walls, the geometric channel model, the
 // routing tree — is a deterministic function of (spec, seed), so a generated
 // 1000-node experiment is exactly as repeatable as the hand-wired 15-node
-// ones. The spec maps 1:1 onto the `topo.*` experiment-config keys.
+// ones. Each field is one `topo.*` row of the experiment-config key table
+// (testbed/config_file.cpp).
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace mgap::topo {
 
@@ -74,15 +77,7 @@ struct TopoSpec {
   void validate() const;
 };
 
-[[nodiscard]] Generator parse_generator(const std::string& name);
-
-/// Applies one `topo.<suffix> = value` assignment. Returns false when `key`
-/// is not a topo key (the caller keeps its own dispatch); throws
-/// std::runtime_error on an unknown topo key or malformed value.
-bool apply_topo_kv(TopoSpec& spec, const std::string& key, const std::string& value);
-
-/// Renders the spec back into config-file lines (empty when disabled), the
-/// topo section of the framework's static experiment description.
-[[nodiscard]] std::string render_topo_spec(const TopoSpec& spec);
+/// "grid", "jitter_grid", "rgg", "floorplan", or "none"/"off"; else nullopt.
+[[nodiscard]] std::optional<Generator> parse_generator(std::string_view name);
 
 }  // namespace mgap::topo

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/spec.hpp"
@@ -15,22 +16,22 @@ namespace mgap::testbed {
 namespace {
 
 TEST(ParseDuration, Units) {
-  EXPECT_EQ(parse_duration("150us"), sim::Duration::us(150));
-  EXPECT_EQ(parse_duration("75ms"), sim::Duration::ms(75));
-  EXPECT_EQ(parse_duration("1.25ms"), sim::Duration::us(1250));
-  EXPECT_EQ(parse_duration("2s"), sim::Duration::sec(2));
-  EXPECT_EQ(parse_duration("30m"), sim::Duration::minutes(30));
-  EXPECT_EQ(parse_duration("24h"), sim::Duration::hours(24));
-  EXPECT_EQ(parse_duration("1500ns"), sim::Duration::ns(1500));
-  EXPECT_EQ(parse_duration(" 10ms "), sim::Duration::ms(10));
+  EXPECT_EQ(sim::parse_duration("150us"), sim::Duration::us(150));
+  EXPECT_EQ(sim::parse_duration("75ms"), sim::Duration::ms(75));
+  EXPECT_EQ(sim::parse_duration("1.25ms"), sim::Duration::us(1250));
+  EXPECT_EQ(sim::parse_duration("2s"), sim::Duration::sec(2));
+  EXPECT_EQ(sim::parse_duration("30m"), sim::Duration::minutes(30));
+  EXPECT_EQ(sim::parse_duration("24h"), sim::Duration::hours(24));
+  EXPECT_EQ(sim::parse_duration("1500ns"), sim::Duration::ns(1500));
+  EXPECT_EQ(sim::parse_duration(" 10ms "), sim::Duration::ms(10));
 }
 
 TEST(ParseDuration, RejectsGarbage) {
-  EXPECT_FALSE(parse_duration("").has_value());
-  EXPECT_FALSE(parse_duration("ms").has_value());
-  EXPECT_FALSE(parse_duration("10").has_value());
-  EXPECT_FALSE(parse_duration("10xs").has_value());
-  EXPECT_FALSE(parse_duration("ten ms").has_value());
+  EXPECT_FALSE(sim::parse_duration("").has_value());
+  EXPECT_FALSE(sim::parse_duration("ms").has_value());
+  EXPECT_FALSE(sim::parse_duration("10").has_value());
+  EXPECT_FALSE(sim::parse_duration("10xs").has_value());
+  EXPECT_FALSE(sim::parse_duration("ten ms").has_value());
 }
 
 TEST(ConfigFile, ParsesFullDescription) {
@@ -505,8 +506,8 @@ TEST(ConfigFile, RejectsMalformedNumbers) {
   expect_config_error("seed = 2.7", "config: bad seed");
   expect_config_error("seed = -1", "config: bad seed");
   expect_config_error("seed = 1e30", "config: bad seed");
-  expect_config_error("topo.seed = -1", "config: bad number for 'topo.seed'");
-  expect_config_error("topo.nodes = 1e12", "config: bad number for 'topo.nodes'");
+  expect_config_error("topo.seed = -1", "config: bad topo.seed");
+  expect_config_error("topo.nodes = 1e12", "config: bad topo.nodes");
   // Other spellings of an integer stay accepted; 64-bit seeds are exact.
   EXPECT_EQ(parse_experiment_config("seed = 1e3\n").seed, 1000u);
   EXPECT_EQ(parse_experiment_config("payload_len = 16.0\n").payload_len, 16u);
@@ -514,6 +515,34 @@ TEST(ConfigFile, RejectsMalformedNumbers) {
             18446744073709551615u);
   EXPECT_EQ(parse_experiment_config("metrics_bucket = 1us\n").metrics_bucket,
             sim::Duration::us(1));
+}
+
+// Every description value goes through a typed binder, so a `topo.*` key and
+// a `fault.N` field reject a fraction for a count, NaN, and a value past
+// their type exactly as any other key does.
+TEST(ConfigFile, RejectsMalformedValuesInEveryKeyAndFaultField) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"topo.nodes = 9.7", "config: bad topo.nodes"},
+      {"topo.max_degree = nan", "config: bad topo.max_degree"},
+      {"topo.max_degree = 3.9", "config: bad topo.max_degree"},
+      {"topo.grid_jitter = nan", "config: bad topo.grid_jitter"},
+      {"topo.tx_power_dbm = nan", "config: bad topo.tx_power_dbm"},
+      {"fault.0 = crash node=2.7 at=1s", "config: 'fault.0': fault: bad node="},
+      {"fault.0 = crash node=1e20 at=1s", "config: 'fault.0': fault: bad node="},
+      {"fault.0 = blackout link=1e30-2 at=1s for=1s", "config: 'fault.0': fault: bad link="},
+      {"fault.0 = clock_drift node=2 at=1s ppm=nan", "config: 'fault.0': fault: bad ppm="},
+      {"fault.0 = attenuate link=2-5 at=1s for=2s per=nan",
+       "config: 'fault.0': fault: bad per="},
+      {"fault.0 = interfere channels=1-3 at=1s for=2s node=3 radius=nan",
+       "config: 'fault.0': fault: bad radius="},
+      {"fault.0 = pressure node=2 at=1s for=1s bytes=1e30",
+       "config: 'fault.0': fault: bad bytes="},
+      {"mesh.relay_density = nan", "config: bad mesh.relay_density"},
+      {"base_per = nan", "config: bad base_per"},
+      {"base_per = 1.5", "config: base_per out of range [0, 1]"},
+      {"chaos_rate = nan", "config: bad chaos_rate"},
+  };
+  for (const auto& [line, message] : cases) expect_config_error(line, message);
 }
 
 /// One non-default value per key, as `input` lines, and the lines the render
@@ -528,15 +557,20 @@ const KeySample kSamples[] = {
     {"radio", "radio = ieee802154"},
     {"link.backend", "link.backend = mesh"},
     {"topology", "topology = star7"},
-    {"topo.",
-     "topo.generator = floorplan\ntopo.nodes = 40\ntopo.area = 123.456789\n"
-     "topo.range = 9.87654321\ntopo.max_degree = 5\ntopo.rooms = 4x3\n"
-     "topo.wall_loss_db = 3.3333333333\ntopo.tx_power_dbm = -4.5\n"
-     "topo.path_loss_exp = 2.718281828\ntopo.sensitivity_dbm = -90.25\n"
-     "topo.fade_margin_db = 7.125\ntopo.seed = 99"},
-    {"topo.",
-     "topo.generator = jitter_grid\ntopo.nodes = 30\ntopo.density = 7.123456789\n"
-     "topo.range = 10\ntopo.grid_jitter = 0.123456789"},
+    {"topo.generator", "topo.generator = rgg"},
+    {"topo.nodes", "topo.generator = rgg\ntopo.nodes = 40"},
+    {"topo.area", "topo.generator = rgg\ntopo.area = 123.456789"},
+    {"topo.density", "topo.generator = rgg\ntopo.density = 7.123456789"},
+    {"topo.range", "topo.generator = rgg\ntopo.range = 9.87654321"},
+    {"topo.max_degree", "topo.generator = rgg\ntopo.max_degree = 5"},
+    {"topo.grid_jitter", "topo.generator = jitter_grid\ntopo.grid_jitter = 0.123456789"},
+    {"topo.rooms", "topo.generator = floorplan\ntopo.rooms = 4x3"},
+    {"topo.wall_loss_db", "topo.generator = floorplan\ntopo.wall_loss_db = 3.3333333333"},
+    {"topo.tx_power_dbm", "topo.generator = rgg\ntopo.tx_power_dbm = -4.123456789"},
+    {"topo.path_loss_exp", "topo.generator = rgg\ntopo.path_loss_exp = 2.718281828"},
+    {"topo.sensitivity_dbm", "topo.generator = rgg\ntopo.sensitivity_dbm = -90.25"},
+    {"topo.fade_margin_db", "topo.generator = rgg\ntopo.fade_margin_db = 7.125"},
+    {"topo.seed", "topo.generator = rgg\ntopo.seed = 99"},
     {"duration", "duration = 90s"},
     {"producer_interval", "producer_interval = 250ms"},
     {"producer_jitter", "producer_jitter = 125ms"},
@@ -556,7 +590,15 @@ const KeySample kSamples[] = {
     {"compression", "compression = iphc"},
     {"metrics_bucket", "metrics_bucket = 2500us"},
     {"metrics_bucket", "metrics_bucket = 1500ns"},
+    // One per fault kind; reals render to the last digit.
     {"fault.", "fault.2 = crash node=3 at=20s reboot_after=5s"},
+    {"fault.", "fault.0 = blackout link=2-5 at=60s for=3s"},
+    {"fault.", "fault.1 = attenuate link=2-5 at=1s for=2s per=0.123456789"},
+    {"fault.", "fault.3 = interfere channels=10-14 at=90s for=5s per=0.987654321 node=3 "
+               "radius=12.3456789"},
+    {"fault.", "fault.4 = clock_drift node=4 at=20s ppm=-123.456789012 for=30s"},
+    {"fault.", "fault.5 = clock_step node=4 at=20s step=-40ms"},
+    {"fault.", "fault.6 = pressure node=2 at=15s for=10s bytes=4096 radius=7.123456789"},
     {"chaos_rate", "chaos_rate = 0.333333333333"},
     {"chaos_kinds", "chaos_rate = 1\nchaos_kinds = crash+blackout"},
     {"reconnect_backoff_base", "reconnect_backoff_base = 15ms"},

@@ -67,29 +67,20 @@ TEST(TopoGeometry, WallCrossings) {
 
 // --- spec / config keys ----------------------------------------------------
 
-TEST(TopoSpec, ApplyAndRenderRoundTrip) {
-  topo::TopoSpec spec;
-  EXPECT_FALSE(topo::apply_topo_kv(spec, "duration", "1h"));  // not a topo key
-  EXPECT_TRUE(topo::apply_topo_kv(spec, "topo.generator", "floorplan"));
-  EXPECT_TRUE(topo::apply_topo_kv(spec, "topo.nodes", "48"));
-  EXPECT_TRUE(topo::apply_topo_kv(spec, "topo.rooms", "4x3"));
-  EXPECT_TRUE(topo::apply_topo_kv(spec, "topo.wall_loss_db", "9"));
-  EXPECT_TRUE(topo::apply_topo_kv(spec, "topo.seed", "42"));
+TEST(TopoSpec, ConfigKeysParseAndRenderBack) {
+  const testbed::ExperimentConfig cfg = testbed::parse_experiment_config(
+      "topo.generator = floorplan\ntopo.nodes = 48\ntopo.rooms = 4x3\n"
+      "topo.wall_loss_db = 9\ntopo.seed = 42\n");
+  const topo::TopoSpec& spec = cfg.topo;
   EXPECT_EQ(spec.generator, topo::Generator::kFloorplan);
   EXPECT_EQ(spec.nodes, 48u);
   EXPECT_EQ(spec.rooms_x, 4u);
   EXPECT_EQ(spec.rooms_y, 3u);
   EXPECT_DOUBLE_EQ(spec.wall_loss_db, 9.0);
 
-  // Render -> re-apply lands on the same spec.
-  topo::TopoSpec reparsed;
-  std::istringstream lines{topo::render_topo_spec(spec)};
-  std::string line;
-  while (std::getline(lines, line)) {
-    const auto eq = line.find(" = ");
-    ASSERT_NE(eq, std::string::npos) << line;
-    EXPECT_TRUE(topo::apply_topo_kv(reparsed, line.substr(0, eq), line.substr(eq + 3)));
-  }
+  // Render -> parse lands on the same spec.
+  const topo::TopoSpec reparsed =
+      testbed::parse_experiment_config(testbed::render_experiment_config(cfg)).topo;
   EXPECT_EQ(reparsed.generator, spec.generator);
   EXPECT_EQ(reparsed.nodes, spec.nodes);
   EXPECT_EQ(reparsed.rooms_x, spec.rooms_x);
@@ -98,13 +89,10 @@ TEST(TopoSpec, ApplyAndRenderRoundTrip) {
 }
 
 TEST(TopoSpec, BadKeysAndValuesThrow) {
-  topo::TopoSpec spec;
-  EXPECT_THROW((void)topo::apply_topo_kv(spec, "topo.flavor", "spicy"),
-               std::runtime_error);
-  EXPECT_THROW((void)topo::apply_topo_kv(spec, "topo.nodes", "-3"), std::runtime_error);
-  EXPECT_THROW((void)topo::apply_topo_kv(spec, "topo.rooms", "4"), std::runtime_error);
-  EXPECT_THROW((void)topo::apply_topo_kv(spec, "topo.generator", "torus"),
-               std::runtime_error);
+  for (const char* text : {"topo.flavor = spicy\n", "topo.nodes = -3\n", "topo.rooms = 4\n",
+                           "topo.generator = torus\n"}) {
+    EXPECT_THROW((void)testbed::parse_experiment_config(text), std::runtime_error) << text;
+  }
 
   topo::TopoSpec bad = rgg_spec(1);
   EXPECT_THROW(bad.validate(), std::runtime_error);  // < 2 nodes
