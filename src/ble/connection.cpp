@@ -264,11 +264,9 @@ bool Connection::run_exchange(sim::TimePoint anchor, std::uint8_t channel) {
   wend = sim::min(wend, sub_.scheduler().next_start_after(anchor, id_));
   wend = wend - phy::kIfs;
 
-  // Delivery rolls against the *receiver's* regional channel model; both
-  // resolve to the same global model unless localized interference installed
-  // per-node overrides (then RNG draw order is still direction-independent).
-  const phy::ChannelModel& cm_c2s = world_.channel_model_for(sub_.id());
-  const phy::ChannelModel& cm_s2c = world_.channel_model_for(coord_.id());
+  // Delivery rolls against the *receiver's* PER on this channel.
+  const double chan_per_c2s = world_.channel_per(sub_.id(), channel);
+  const double chan_per_s2c = world_.channel_per(coord_.id(), channel);
   obs::Recorder* rec = world_.recorder();
   const bool rec_pdu = rec != nullptr && rec->wants(obs::EventType::kPduTx);
   // Pairwise link quality (geometry, mobility, fault windows): 0 in the
@@ -308,7 +306,7 @@ bool Connection::run_exchange(sim::TimePoint anchor, std::uint8_t channel) {
     sub_.activity().bytes_rx += c_len + phy::kLlOverheadBytes;
     coord_.activity().data_bytes_tx += c_len;
     sub_.activity().data_bytes_rx += c_len;
-    const bool c2s_ok = cm_c2s.deliver(channel, rng_) && !rng_.chance(link_per);
+    const bool c2s_ok = !rng_.chance(chan_per_c2s) && !rng_.chance(link_per);
     afh_note(channel, c2s_ok);
     if (rec_pdu && c_has) {
       obs::Event e;
@@ -344,7 +342,7 @@ bool Connection::run_exchange(sim::TimePoint anchor, std::uint8_t channel) {
     coord_.activity().bytes_rx += s_len + phy::kLlOverheadBytes;
     sub_.activity().data_bytes_tx += s_len;
     coord_.activity().data_bytes_rx += s_len;
-    const bool s2c_ok = cm_s2c.deliver(channel, rng_) && !rng_.chance(link_per);
+    const bool s2c_ok = !rng_.chance(chan_per_s2c) && !rng_.chance(link_per);
     afh_note(channel, s2c_ok);
     if (rec_pdu && s_has) {
       obs::Event e;

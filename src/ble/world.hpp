@@ -54,26 +54,17 @@ class BleWorld {
   [[nodiscard]] phy::ChannelModel& channel_model() { return channel_model_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
-  /// Regional channel models: a per-receiver override of the global model,
-  /// created on first access as a copy of it. Localized interference (a
-  /// radius-scoped `fault.interfere`) perturbs only the models of nodes
-  /// inside the ball instead of the whole world's. Delivery uses the
-  /// *receiver's* model — interference is a property of where the listener
-  /// sits. With no overrides installed (the legacy configuration) every
-  /// lookup returns the global model and behavior is byte-identical.
-  [[nodiscard]] phy::ChannelModel& region_channel_model(NodeId node) {
-    const auto it = region_models_.find(node);
-    if (it != region_models_.end()) return it->second;
-    return region_models_.emplace(node, channel_model_).first->second;
+  /// Optional per-receiver channel-PER hook: maps the base model's PER on
+  /// `channel` to the PER `receiver` hears there (fault windows fold
+  /// interference on top). Delivery rolls against the *receiver's* PER —
+  /// interference is a property of where the listener sits. Null keeps the
+  /// base model for everyone.
+  using ChannelPerFn = std::function<double(NodeId receiver, std::uint8_t channel, double base)>;
+  void set_channel_per(ChannelPerFn fn) { channel_per_ = std::move(fn); }
+  [[nodiscard]] double channel_per(NodeId receiver, std::uint8_t channel) const {
+    const double base = channel_model_.per(channel);
+    return channel_per_ ? channel_per_(receiver, channel, base) : base;
   }
-  [[nodiscard]] const phy::ChannelModel& channel_model_for(NodeId receiver) const {
-    if (!region_models_.empty()) {
-      const auto it = region_models_.find(receiver);
-      if (it != region_models_.end()) return it->second;
-    }
-    return channel_model_;
-  }
-  [[nodiscard]] bool has_region_models() const { return !region_models_.empty(); }
 
   /// Allocation telemetry for the scale benches.
   [[nodiscard]] const sim::Arena& arena() const { return arena_; }
@@ -159,7 +150,7 @@ class BleWorld {
   LinkPerFn link_per_;
   sim::Simulator& sim_;
   phy::ChannelModel channel_model_;
-  std::map<NodeId, phy::ChannelModel> region_models_;
+  ChannelPerFn channel_per_;
   ChannelMap default_chmap_{ChannelMap::all()};
   std::vector<Controller*> nodes_;
   std::map<NodeId, Controller*> by_id_;

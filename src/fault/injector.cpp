@@ -1,6 +1,7 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "ble/connection.hpp"
 #include "ble/controller.hpp"
@@ -8,6 +9,21 @@
 #include "obs/recorder.hpp"
 
 namespace mgap::fault {
+
+namespace {
+
+bool any_of_kinds(const std::vector<InjectedFault>& timeline,
+                  std::initializer_list<FaultKind> kinds) {
+  return std::any_of(timeline.begin(), timeline.end(), [&](const InjectedFault& f) {
+    return std::find(kinds.begin(), kinds.end(), f.event.kind) != kinds.end();
+  });
+}
+
+}  // namespace
+
+bool InjectedFault::covers(NodeId node) const {
+  return everywhere || std::binary_search(scope.begin(), scope.end(), node);
+}
 
 FaultInjector::FaultInjector(sim::Simulator& sim, ble::BleWorld* world,
                              InjectorHooks hooks)
@@ -27,9 +43,6 @@ void FaultInjector::arm(std::vector<FaultEvent> plan) {
     f.begin = ev.at;
     switch (ev.kind) {
       case FaultKind::kCrash:
-        f.permanent = ev.duration.is_zero();
-        f.end = f.permanent ? f.begin : f.begin + ev.duration;
-        break;
       case FaultKind::kClockDrift:
         f.permanent = ev.duration.is_zero();
         f.end = f.permanent ? f.begin : f.begin + ev.duration;
@@ -41,30 +54,46 @@ void FaultInjector::arm(std::vector<FaultEvent> plan) {
         f.end = f.begin + ev.duration;
         break;
     }
-    timeline_.push_back(f);
+    resolve_scope(f);
+    if (ev.kind == FaultKind::kClockDrift && world_ != nullptr) {
+      if (const ble::Controller* ctrl = world_->find(ev.node)) {
+        built_drift_.try_emplace(ev.node, ctrl->clock().drift_ppm());
+      }
+    }
+    timeline_.push_back(std::move(f));
   }
-  seized_bytes_.assign(timeline_.size(), 0);
-  saved_channel_per_.assign(timeline_.size(), {});
-  saved_drift_.assign(timeline_.size(), 0.0);
-  saved_region_per_.assign(timeline_.size(), {});
-  seized_region_.assign(timeline_.size(), {});
+  seized_.assign(timeline_.size(), {});
 
-  const bool needs_link_hook =
-      world_ != nullptr &&
-      std::any_of(timeline_.begin(), timeline_.end(), [](const InjectedFault& f) {
-        return f.event.kind == FaultKind::kBlackout ||
-               f.event.kind == FaultKind::kAttenuate;
-      });
-  if (needs_link_hook) install_link_hook();
+  if (world_ != nullptr && any_of_kinds(timeline_, {FaultKind::kBlackout,
+                                                    FaultKind::kAttenuate})) {
+    install_link_hook();
+  }
+  if (world_ != nullptr && any_of_kinds(timeline_, {FaultKind::kInterfere})) {
+    world_->set_channel_per([this](NodeId receiver, std::uint8_t channel, double base) {
+      return windowed_channel_per(receiver, channel, base);
+    });
+  }
 
   for (std::size_t i = 0; i < timeline_.size(); ++i) {
     sim_.schedule_at(timeline_[i].begin, [this, i] { begin_fault(i); });
-    // Link/channel windows need no begin action beyond the hook; their end
-    // actions restore saved state. Instant and permanent faults have no end.
+    // Instant and permanent faults have no end edge.
     const InjectedFault& f = timeline_[i];
     const bool has_end = !f.permanent && f.end > f.begin;
     if (has_end) sim_.schedule_at(f.end, [this, i] { end_fault(i); });
   }
+}
+
+void FaultInjector::resolve_scope(InjectedFault& f) const {
+  const FaultEvent& ev = f.event;
+  if (ev.radius > 0.0 && hooks_.nodes_within) {
+    f.scope = hooks_.nodes_within(ev.node, ev.radius);
+  } else if (ev.kind == FaultKind::kInterfere) {
+    f.everywhere = true;
+  } else {
+    f.scope.push_back(ev.node);
+    if (ev.peer != kInvalidNode) f.scope.push_back(ev.peer);
+  }
+  std::sort(f.scope.begin(), f.scope.end());
 }
 
 void FaultInjector::install_link_hook() {
@@ -80,10 +109,9 @@ void FaultInjector::install_link_hook() {
 }
 
 phy::LinkPer FaultInjector::windowed_link_per(NodeId a, NodeId b) const {
-  // A window is open for begin <= now < end, by time alone: a connection
-  // event at an edge instant sees the same value whether it fires before or
-  // after begin_fault/end_fault. The value can next change at the earliest
-  // edge of this link's windows after now.
+  // A connection event at an edge instant sees the same value whether it
+  // fires before or after begin_fault/end_fault. The value can next change
+  // at the earliest edge of this link's windows after now.
   const sim::TimePoint now = sim_.now();
   phy::LinkPer out;
   for (const InjectedFault& f : timeline_) {
@@ -101,6 +129,37 @@ phy::LinkPer FaultInjector::windowed_link_per(NodeId a, NodeId b) const {
     }
   }
   return out;
+}
+
+double FaultInjector::windowed_channel_per(NodeId receiver, std::uint8_t channel,
+                                           double base) const {
+  // Each open interferer the receiver sits in adds its PER independently,
+  // folded in begin order.
+  const sim::TimePoint now = sim_.now();
+  double per = base;
+  for (const InjectedFault& f : timeline_) {
+    if (f.event.kind != FaultKind::kInterfere || channel < f.event.chan_lo ||
+        channel > f.event.chan_hi || !f.open_at(now) || !f.covers(receiver)) {
+      continue;
+    }
+    per = 1.0 - (1.0 - per) * (1.0 - f.event.per);
+  }
+  return per;
+}
+
+void FaultInjector::apply_drift(NodeId node) {
+  ble::Controller* ctrl = world_ == nullptr ? nullptr : world_->find(node);
+  const auto built = built_drift_.find(node);
+  if (ctrl == nullptr || built == built_drift_.end()) return;
+  // The latest-begun open window on the node sets its drift.
+  double ppm = built->second;
+  for (const InjectedFault& f : timeline_) {
+    if (f.event.kind == FaultKind::kClockDrift && f.event.node == node &&
+        f.open_at(sim_.now())) {
+      ppm = f.event.ppm;
+    }
+  }
+  ctrl->set_clock_drift(ppm);
 }
 
 void FaultInjector::record_fault(const InjectedFault& f, std::size_t index,
@@ -121,7 +180,7 @@ void FaultInjector::record_fault(const InjectedFault& f, std::size_t index,
 }
 
 void FaultInjector::begin_fault(std::size_t index) {
-  InjectedFault& f = timeline_[index];
+  const InjectedFault& f = timeline_[index];
   const FaultEvent& ev = f.event;
   record_fault(f, index, true);
 
@@ -135,39 +194,11 @@ void FaultInjector::begin_fault(std::size_t index) {
     }
     case FaultKind::kBlackout:
     case FaultKind::kAttenuate:
-      break;  // the installed link hook reads the window directly
-    case FaultKind::kInterfere: {
-      if (world_ == nullptr) break;
-      if (ev.radius > 0.0 && hooks_.nodes_within) {
-        // Localized interferer: only receivers inside the ball get their
-        // regional channel model perturbed; everyone else keeps hearing the
-        // unmodified global model.
-        for (const NodeId nid : hooks_.nodes_within(ev.node, ev.radius)) {
-          phy::ChannelModel& cm = world_->region_channel_model(nid);
-          for (std::uint8_t ch = ev.chan_lo; ch <= ev.chan_hi; ++ch) {
-            const double old = cm.per(ch);
-            saved_region_per_[index].emplace_back(nid, ch, old);
-            cm.set_per(ch, 1.0 - (1.0 - old) * (1.0 - ev.per));
-          }
-        }
-        break;
-      }
-      phy::ChannelModel& cm = world_->channel_model();
-      for (std::uint8_t ch = ev.chan_lo; ch <= ev.chan_hi; ++ch) {
-        const double old = cm.per(ch);
-        saved_channel_per_[index].emplace_back(ch, old);
-        cm.set_per(ch, 1.0 - (1.0 - old) * (1.0 - ev.per));
-      }
+    case FaultKind::kInterfere:
+      break;  // the installed link and channel hooks read the window directly
+    case FaultKind::kClockDrift:
+      apply_drift(ev.node);
       break;
-    }
-    case FaultKind::kClockDrift: {
-      if (world_ == nullptr) break;
-      if (ble::Controller* ctrl = world_->find(ev.node)) {
-        saved_drift_[index] = ctrl->clock().drift_ppm();
-        ctrl->set_clock_drift(ev.ppm);
-      }
-      break;
-    }
     case FaultKind::kClockStep: {
       if (world_ == nullptr) break;
       if (ble::Controller* ctrl = world_->find(ev.node)) {
@@ -178,19 +209,11 @@ void FaultInjector::begin_fault(std::size_t index) {
       break;
     }
     case FaultKind::kPressure: {
-      if (!hooks_.pktbuf_of) break;
-      if (ev.radius > 0.0 && hooks_.nodes_within) {
-        // Regional buffer squeeze: every node in the ball loses capacity —
-        // the memory-pressure analogue of a localized interferer.
-        for (const NodeId nid : hooks_.nodes_within(ev.node, ev.radius)) {
-          if (net::Pktbuf* buf = hooks_.pktbuf_of(nid)) {
-            seized_region_[index].emplace_back(nid, buf->seize(ev.bytes));
-          }
-        }
-        break;
-      }
-      if (net::Pktbuf* buf = hooks_.pktbuf_of(ev.node)) {
-        seized_bytes_[index] = buf->seize(ev.bytes);
+      // A zero-length window is never open, so it seizes nothing.
+      if (!hooks_.pktbuf_of || !f.open_at(sim_.now())) break;
+      for (const NodeId nid : f.scope) {
+        net::Pktbuf* buf = hooks_.pktbuf_of(nid);
+        seized_[index].push_back(buf != nullptr ? buf->seize(ev.bytes) : 0);
       }
       break;
     }
@@ -198,7 +221,7 @@ void FaultInjector::begin_fault(std::size_t index) {
 }
 
 void FaultInjector::end_fault(std::size_t index) {
-  InjectedFault& f = timeline_[index];
+  const InjectedFault& f = timeline_[index];
   const FaultEvent& ev = f.event;
   record_fault(f, index, false);
 
@@ -210,73 +233,26 @@ void FaultInjector::end_fault(std::size_t index) {
       if (hooks_.on_reboot) hooks_.on_reboot(ev.node);
       break;
     }
-    case FaultKind::kBlackout:
-    case FaultKind::kAttenuate:
-      break;
-    case FaultKind::kInterfere: {
-      if (world_ == nullptr) break;
-      if (!saved_region_per_[index].empty()) {
-        // Restore in reverse so overlapping windows unwind correctly.
-        for (auto it = saved_region_per_[index].rbegin();
-             it != saved_region_per_[index].rend(); ++it) {
-          world_->region_channel_model(std::get<0>(*it))
-              .set_per(std::get<1>(*it), std::get<2>(*it));
-        }
-        saved_region_per_[index].clear();
-        break;
-      }
-      phy::ChannelModel& cm = world_->channel_model();
-      // Restore in reverse so overlapping windows unwind correctly.
-      for (auto it = saved_channel_per_[index].rbegin();
-           it != saved_channel_per_[index].rend(); ++it) {
-        cm.set_per(it->first, it->second);
-      }
-      saved_channel_per_[index].clear();
-      break;
-    }
-    case FaultKind::kClockDrift: {
-      if (world_ == nullptr) break;
-      if (ble::Controller* ctrl = world_->find(ev.node)) {
-        ctrl->set_clock_drift(saved_drift_[index]);
-      }
-      break;
-    }
-    case FaultKind::kClockStep:
+    case FaultKind::kClockDrift:
+      apply_drift(ev.node);
       break;
     case FaultKind::kPressure: {
-      if (!hooks_.pktbuf_of) break;
-      for (const auto& [nid, taken] : seized_region_[index]) {
-        if (taken == 0) continue;
-        if (net::Pktbuf* buf = hooks_.pktbuf_of(nid)) buf->free(taken);
+      for (std::size_t k = 0; k < seized_[index].size(); ++k) {
+        if (seized_[index][k] == 0) continue;
+        if (net::Pktbuf* buf = hooks_.pktbuf_of(f.scope[k])) buf->free(seized_[index][k]);
       }
-      seized_region_[index].clear();
-      if (seized_bytes_[index] == 0) break;
-      if (net::Pktbuf* buf = hooks_.pktbuf_of(ev.node)) {
-        buf->free(seized_bytes_[index]);
-      }
-      seized_bytes_[index] = 0;
+      seized_[index].clear();
       break;
     }
+    default:
+      break;
   }
 }
 
 bool FaultInjector::attributable(NodeId node, sim::TimePoint at,
                                  sim::Duration grace) const {
   for (const InjectedFault& f : timeline_) {
-    bool involves = false;
-    switch (f.event.kind) {
-      case FaultKind::kBlackout:
-      case FaultKind::kAttenuate:
-        involves = f.event.node == node || f.event.peer == node;
-        break;
-      case FaultKind::kInterfere:
-        involves = true;
-        break;
-      default:
-        involves = f.event.node == node;
-        break;
-    }
-    if (!involves || at < f.begin) continue;
+    if (!f.covers(node) || at < f.begin) continue;
     if (f.permanent || at <= f.end + grace) return true;
   }
   return false;

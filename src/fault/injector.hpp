@@ -8,10 +8,16 @@
 // experiment through InjectorHooks, keeping this library independent of the
 // testbed layer. All scheduling happens on the shared Simulator, so fault
 // sequences are as deterministic as everything else.
+//
+// A windowed fault's effect is a function of the clock and the faults open
+// at that instant: link and channel error rates are queried through hooks
+// on the world, and a drift edge recomputes the node's drift from the open
+// drift windows. Nothing is saved at a window's begin and written back at
+// its end, so overlapping windows compose in any order.
 
 #include <cstdint>
 #include <functional>
-#include <tuple>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -32,18 +38,29 @@ struct InjectorHooks {
   /// Resolves a node's packet buffer for pressure faults (null = skip).
   std::function<net::Pktbuf*(NodeId)> pktbuf_of;
   /// Nodes within `radius` meters of `center`'s position, center included —
-  /// the experiment wires this to its spatial index. Null (or a fault with
-  /// radius 0) keeps the legacy scope: interference perturbs the global
-  /// channel model, pressure seizes only the named node.
+  /// the experiment wires this to its spatial index. A fault with a radius
+  /// acts on this ball; without the hook (or with radius 0) interference
+  /// acts on every receiver and pressure on the named node.
   std::function<std::vector<NodeId>(NodeId center, double radius)> nodes_within;
 };
 
-/// One realized fault with its effective window on the global timeline.
+/// One realized fault with its effective window on the global timeline and
+/// the nodes it acts on.
 struct InjectedFault {
   FaultEvent event;
   sim::TimePoint begin;
   sim::TimePoint end;    // == begin for instant faults; reboot time for crashes
   bool permanent{false}; // never ends (crash without reboot, unwindowed drift)
+  /// Resolved once by arm(), ascending: the named node (and a link fault's
+  /// peer), or a radius fault's ball.
+  std::vector<NodeId> scope;
+  bool everywhere{false};  // radius-0 interference: every receiver
+
+  [[nodiscard]] bool covers(NodeId node) const;
+  /// Open for begin <= t < end, by time alone; a permanent fault stays open.
+  [[nodiscard]] bool open_at(sim::TimePoint t) const {
+    return t >= begin && (permanent || t < end);
+  }
 };
 
 class FaultInjector {
@@ -62,17 +79,21 @@ class FaultInjector {
   [[nodiscard]] const std::vector<InjectedFault>& timeline() const { return timeline_; }
   [[nodiscard]] std::uint64_t injected_count() const { return timeline_.size(); }
 
-  /// True when `node` sits inside some fault's window (extended by `grace`
-  /// past its end) at time `at` — used to attribute supervision timeouts to
-  /// injected vs. emergent causes. Interference windows touch every node.
+  /// True when `node` is in the scope of some fault whose window (extended
+  /// by `grace` past its end) holds `at` — used to attribute supervision
+  /// timeouts to injected vs. emergent causes.
   [[nodiscard]] bool attributable(NodeId node, sim::TimePoint at,
                                   sim::Duration grace) const;
 
  private:
   void begin_fault(std::size_t index);
   void end_fault(std::size_t index);
+  void resolve_scope(InjectedFault& f) const;
   void install_link_hook();
   [[nodiscard]] phy::LinkPer windowed_link_per(NodeId a, NodeId b) const;
+  [[nodiscard]] double windowed_channel_per(NodeId receiver, std::uint8_t channel,
+                                            double base) const;
+  void apply_drift(NodeId node);
   void record_fault(const InjectedFault& f, std::size_t index, bool begin);
 
   sim::Simulator& sim_;
@@ -81,15 +102,12 @@ class FaultInjector {
   std::vector<InjectedFault> timeline_;
   bool armed_{false};
 
-  // Per-fault state captured at begin, consumed at end (indexed like
-  // timeline_). Kept separate so the timeline stays a plain value record.
-  std::vector<std::size_t> seized_bytes_;
-  std::vector<std::vector<std::pair<std::uint8_t, double>>> saved_channel_per_;
-  std::vector<double> saved_drift_;
-  // Radius-scoped variants: per-node saved channel PER (interference balls)
-  // and per-node seized bytes (pressure balls).
-  std::vector<std::vector<std::tuple<NodeId, std::uint8_t, double>>> saved_region_per_;
-  std::vector<std::vector<std::pair<NodeId, std::size_t>>> seized_region_;
+  /// Each drift-faulted node's drift as built, read at arm(): its drift
+  /// while none of its drift windows is open.
+  std::map<NodeId, double> built_drift_;
+  /// Bytes each pressure fault took from each scope node (indexed like
+  /// timeline_, then like its scope), freed when the window ends.
+  std::vector<std::vector<std::size_t>> seized_;
   ble::BleWorld::LinkPerFn prev_link_per_;
 };
 

@@ -70,6 +70,8 @@ constexpr Field span(std::string_view name, Opts opt) {
 constexpr Opts kNodeId{.lo = 1, .hi = kInvalidNode - 1};
 constexpr Opts kPer{.hi = 1};
 constexpr Opts kRadius{.open_lo = true};  // meters > 0
+// Twice the BLE sleep clock's 500 ppm worst case; chaos draws +-150.
+constexpr Opts kPpm{.lo = -1000, .hi = 1000};
 
 constexpr Field kAt = field<&E::at>("at", kRequired);
 constexpr Field kNode = field<&E::node>("node", kRequired, kNodeId);
@@ -86,7 +88,7 @@ constexpr Field kInterfere[] = {span<&E::chan_lo, &E::chan_hi>("channels", {.hi 
                                 field<&E::per>("per", kOptional, kPer, "0.9"),
                                 field<&E::node>("node", kOptional, kNodeId),
                                 field<&E::radius>("radius", kOptional, kRadius)};
-constexpr Field kClockDrift[] = {kNode, kAt, field<&E::ppm>("ppm", kRequired, {.lo = -sim::kInf}),
+constexpr Field kClockDrift[] = {kNode, kAt, field<&E::ppm>("ppm", kRequired, kPpm),
                                  field<&E::duration>("for", kOptional)};
 constexpr Field kClockStep[] = {kNode, kAt, field<&E::step>("step", kRequired, {.lo = -sim::kInf})};
 constexpr Field kPressure[] = {kNode, kAt, kFor, field<&E::bytes>("bytes", kRequired, {.lo = 1}),

@@ -41,7 +41,7 @@ enum class FaultKind : std::uint8_t {
   kBlackout,    // one link loses every PDU for `duration`
   kAttenuate,   // one link sees extra PER `per` for `duration`
   kInterfere,   // channels [chan_lo, chan_hi] see extra PER `per`
-  kClockDrift,  // node's sleep-clock drift becomes `ppm` (restored if windowed)
+  kClockDrift,  // node's sleep-clock drift is `ppm` while the window is open
   kClockStep,   // node's connection anchors jump by `step` once
   kPressure,    // node's pktbuf loses `bytes` of capacity for `duration`
 };
@@ -58,17 +58,16 @@ struct FaultEvent {
   double per{1.0};            // kAttenuate / kInterfere extra PER
   std::uint8_t chan_lo{0};
   std::uint8_t chan_hi{36};
-  double ppm{0.0};            // kClockDrift target drift
+  double ppm{0.0};            // kClockDrift target drift, in [-1000, 1000]
   sim::Duration step;         // kClockStep displacement
 
   std::size_t bytes{0};       // kPressure capacity to seize
 
-  /// Spatial scope in meters, for kInterfere and kPressure. 0 keeps the
-  /// legacy scope (interference hits the whole world's channel model,
-  /// pressure seizes only `node`). > 0 applies the fault to every node
-  /// within `radius` of `node`'s position — resolved through the
-  /// experiment's spatial index, so it requires a generated world (without
-  /// one the injector falls back to the legacy scope).
+  /// Spatial scope in meters, for kInterfere and kPressure. 0 scopes
+  /// interference to every receiver and pressure to `node`. > 0 applies the
+  /// fault to every node within `radius` of `node`'s position — resolved
+  /// through the experiment's spatial index, so it requires a generated
+  /// world (without one the injector falls back to the radius-0 scope).
   double radius{0.0};
 
   /// Canonical spec-syntax form; parse_fault_event(str()) round-trips.

@@ -296,7 +296,7 @@ constexpr Key kKeys[] = {
     field<&C::payload_len>("payload_len"),
     field<&C::seed>("seed"),
     field<&C::base_per>("base_per", {.hi = 1}),
-    field<&C::drift_ppm_range>("drift_ppm_range", {.lo = -kInf}),
+    field<&C::drift_ppm_range>("drift_ppm_range", {.hi = 1000}),  // bounded like fault ppm=
     field<&C::jam_channel_22>("jam_channel_22"),
     field<&C::exclude_channel_22>("exclude_channel_22"),
     field<&C::adaptive_channel_map>("adaptive_channel_map"),

@@ -531,6 +531,12 @@ TEST(ConfigFile, RejectsMalformedValuesInEveryKeyAndFaultField) {
       {"fault.0 = crash node=1e20 at=1s", "config: 'fault.0': fault: bad node="},
       {"fault.0 = blackout link=1e30-2 at=1s for=1s", "config: 'fault.0': fault: bad link="},
       {"fault.0 = clock_drift node=2 at=1s ppm=nan", "config: 'fault.0': fault: bad ppm="},
+      {"fault.0 = clock_drift node=2 at=1s ppm=inf",
+       "config: 'fault.0': fault: ppm= out of range [-1000, 1000]"},
+      {"fault.0 = clock_drift node=2 at=1s ppm=1e300",
+       "config: 'fault.0': fault: ppm= out of range [-1000, 1000]"},
+      {"fault.0 = clock_drift node=2 at=1s ppm=-1e6",
+       "config: 'fault.0': fault: ppm= out of range [-1000, 1000]"},
       {"fault.0 = attenuate link=2-5 at=1s for=2s per=nan",
        "config: 'fault.0': fault: bad per="},
       {"fault.0 = interfere channels=1-3 at=1s for=2s node=3 radius=nan",
@@ -541,6 +547,8 @@ TEST(ConfigFile, RejectsMalformedValuesInEveryKeyAndFaultField) {
       {"base_per = nan", "config: bad base_per"},
       {"base_per = 1.5", "config: base_per out of range [0, 1]"},
       {"chaos_rate = nan", "config: bad chaos_rate"},
+      {"drift_ppm_range = -1", "config: drift_ppm_range out of range [0, 1000]"},
+      {"drift_ppm_range = 1e300", "config: drift_ppm_range out of range [0, 1000]"},
   };
   for (const auto& [line, message] : cases) expect_config_error(line, message);
 }

@@ -1,7 +1,8 @@
 // Fault-injection subsystem tests: spec parsing and round-tripping, chaos
 // sampling determinism, the injector's fault mechanics against a live
-// Experiment (crash/reboot, blackout, interference, buffer pressure), and
-// the campaign determinism contract with fault axes.
+// Experiment (crash/reboot, blackout, interference, buffer pressure),
+// overlapping windows and their scopes, and the campaign determinism
+// contract with fault axes.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/writers.hpp"
+#include "ble/world.hpp"
 #include "fault/injector.hpp"
 #include "fault/spec.hpp"
 #include "sim/simulator.hpp"
@@ -465,10 +467,9 @@ testbed::ExperimentConfig geo_config(std::uint64_t seed = 7) {
 }
 
 TEST(FaultInjection, WorldSpanningRadiusEqualsLegacyGlobalInterference) {
-  // A ball that covers the whole deployment must reproduce the legacy global
-  // channel fault exactly: the per-receiver regional models all start as
-  // copies of the global model, get the same perturbation, and the delivery
-  // rolls consume the same RNG draws.
+  // A ball that covers the whole deployment must reproduce the radius-0
+  // channel fault exactly: every receiver is in both scopes, so each hears
+  // the same PER and the delivery rolls consume the same RNG draws.
   testbed::ExperimentConfig legacy = geo_config();
   legacy.faults["fault.0"] =
       parse_fault_event("interfere channels=0-36 at=10s for=15s per=0.8");
@@ -481,8 +482,6 @@ TEST(FaultInjection, WorldSpanningRadiusEqualsLegacyGlobalInterference) {
   testbed::Experiment b{scoped};
   b.run();
 
-  EXPECT_FALSE(a.ble_world()->has_region_models());
-  EXPECT_TRUE(b.ble_world()->has_region_models());
   const testbed::ExperimentSummary sa = a.summary();
   const testbed::ExperimentSummary sb = b.summary();
   EXPECT_EQ(sa.sent, sb.sent);
@@ -522,8 +521,8 @@ TEST(FaultInjection, TinyRadiusPressureEqualsLegacySingleNode) {
   testbed::Experiment a{legacy};
   a.run();
 
-  // radius=0.01: the ball degenerates to the named node, so the regional
-  // path must seize and restore exactly what the legacy path did.
+  // radius=0.01: the ball degenerates to the named node, so the scope — and
+  // what is seized and freed — equals the radius-0 fault's.
   testbed::ExperimentConfig scoped = geo_config();
   scoped.producer_interval = sim::Duration::ms(200);
   scoped.faults["fault.0"] =
@@ -562,6 +561,141 @@ TEST(FaultInjection, RadiusPressureSqueezesTheWholeBall) {
       sim::TimePoint::origin() + sim::Duration::sec(25),
       sim::TimePoint::origin() + sim::Duration::sec(40));
   EXPECT_GT(after.acked, 0u);
+}
+
+
+// --- overlapping windows compose: nothing is saved and written back ---------
+
+sim::TimePoint at_s(std::int64_t s) { return sim::TimePoint::origin() + sim::Duration::sec(s); }
+
+/// Delivery and connection losses from 40 s to the end of the run.
+struct Tail {
+  std::uint64_t sent{0};
+  std::uint64_t acked{0};
+  std::uint64_t losses{0};
+};
+
+Tail run_tail(const testbed::ExperimentConfig& cfg) {
+  testbed::Experiment exp{cfg};
+  exp.run();
+  const testbed::PdrBucket b = exp.metrics().count_between(at_s(40), at_s(120));
+  Tail t{b.sent, b.acked, 0};
+  for (const auto& [at, node] : exp.metrics().conn_losses()) {
+    if (at >= at_s(40)) ++t.losses;
+  }
+  return t;
+}
+
+TEST(FaultInjection, OverlappingInterferenceWindowsLeaveNoTrace) {
+  testbed::ExperimentConfig clean_cfg;
+  clean_cfg.topology = testbed::Topology::tree15();
+  clean_cfg.duration = sim::Duration::sec(120);
+  clean_cfg.seed = 1;
+  // The first window ends first, while the second is still open.
+  testbed::ExperimentConfig cfg = clean_cfg;
+  cfg.faults["fault.0"] = parse_fault_event("interfere channels=0-36 at=10s for=10s per=0.9");
+  cfg.faults["fault.1"] = parse_fault_event("interfere channels=0-36 at=15s for=10s per=0.5");
+
+  const Tail clean = run_tail(clean_cfg);
+  const Tail faulted = run_tail(cfg);
+  ASSERT_GT(clean.sent, 1000u);
+  EXPECT_EQ(faulted.sent, clean.sent);
+  EXPECT_EQ(faulted.acked, clean.acked);
+  EXPECT_EQ(faulted.losses, clean.losses);
+}
+
+TEST(FaultInjection, RadiusWindowInsideAGlobalOneLeavesNoTrace) {
+  testbed::ExperimentConfig clean_cfg = geo_config();
+  clean_cfg.duration = sim::Duration::sec(120);
+  testbed::ExperimentConfig cfg = clean_cfg;
+  cfg.faults["fault.0"] = parse_fault_event("interfere channels=0-36 at=10s for=10s per=0.9");
+  cfg.faults["fault.1"] = parse_fault_event(
+      "interfere channels=0-36 at=12s for=3s per=0.9 node=15 radius=8");
+
+  const Tail clean = run_tail(clean_cfg);
+  const Tail faulted = run_tail(cfg);
+  ASSERT_GT(clean.sent, 2000u);
+  // Both windows closed by 20 s: the tail is as healthy as a fault-free one.
+  EXPECT_GE(faulted.acked + clean.sent / 100, clean.acked);
+  EXPECT_LE(faulted.losses, clean.losses + 3);
+}
+
+TEST(FaultInjection, OverlappingDriftWindowsEndAtTheBuiltDrift) {
+  testbed::ExperimentConfig cfg = star_config();
+  cfg.faults["fault.0"] = parse_fault_event("clock_drift node=2 at=10s ppm=100 for=10s");
+  cfg.faults["fault.1"] = parse_fault_event("clock_drift node=2 at=15s ppm=-80 for=20s");
+  testbed::Experiment exp{cfg};
+  const double built = exp.controller(2)->clock().drift_ppm();
+
+  exp.run_until(at_s(17));
+  EXPECT_EQ(exp.controller(2)->clock().drift_ppm(), -80.0);
+  exp.run_until(at_s(25));  // the first window has ended, the second is open
+  EXPECT_EQ(exp.controller(2)->clock().drift_ppm(), -80.0);
+  exp.run();
+  EXPECT_EQ(exp.controller(2)->clock().drift_ppm(), built);
+}
+
+/// One connection with anchors at 10 ms + k * 100 ms and an interfere window
+/// whose begin falls on the anchor at 1010 ms. Armed before the connection
+/// opens, the window's begin event was scheduled first and fires first at
+/// 1010 ms; armed at 950 ms, the connection event at 1010 ms (scheduled at
+/// 910 ms) fires first. No window when `arm` is kNoFault.
+enum class Arm { kBeforeConnection, kAfterConnection, kNoFault };
+
+std::string edge_instant_run(Arm arm) {
+  sim::Simulator sim{11};
+  ble::BleWorld world{sim, phy::ChannelModel{0.01}};
+  FaultInjector injector{sim, &world, {}};
+  const std::vector<FaultEvent> plan = {
+      parse_fault_event("interfere channels=0-36 at=1010ms for=1s per=0.9")};
+  if (arm == Arm::kBeforeConnection) injector.arm(plan);
+  ble::Controller& a = world.add_node(1, 0.0);
+  ble::Controller& b = world.add_node(2, 3.0);
+  ble::ConnParams p;
+  p.interval = sim::Duration::ms(100);
+  p.supervision_timeout = sim::Duration::sec(4);
+  const ble::LinkStats& s =
+      world.open_connection(a, b, p, sim::TimePoint::origin() + sim::Duration::ms(10))
+          .link_stats();
+  if (arm == Arm::kAfterConnection) {
+    sim.schedule_at(sim::TimePoint::origin() + sim::Duration::ms(950),
+                    [&injector, &plan] { injector.arm(plan); });
+  }
+  sim.run_until(at_s(3));
+  return "ok=" + std::to_string(s.events_ok) + " missed=" + std::to_string(s.events_missed) +
+         " aborted=" + std::to_string(s.events_aborted) +
+         " losses=" + std::to_string(s.conn_losses);
+}
+
+TEST(FaultInjection, InterferenceEdgeOnAnAnchorIsOrderIndependent) {
+  const std::string before = edge_instant_run(Arm::kBeforeConnection);
+  EXPECT_EQ(before, edge_instant_run(Arm::kAfterConnection));
+  EXPECT_NE(before, edge_instant_run(Arm::kNoFault));
+}
+
+TEST(FaultInjector, AttributionFollowsTheResolvedScope) {
+  sim::Simulator sim{1};
+  InjectorHooks hooks;
+  hooks.nodes_within = [](NodeId center, double) {
+    return std::vector<NodeId>{7, center, 3};
+  };
+  FaultInjector injector{sim, nullptr, std::move(hooks)};
+  injector.arm({parse_fault_event("interfere channels=0-36 at=10s for=5s node=5 radius=8"),
+                parse_fault_event("pressure node=20 at=30s for=5s bytes=64 radius=8"),
+                parse_fault_event("interfere channels=0-36 at=50s for=5s")});
+  const sim::Duration grace = sim::Duration::sec(1);
+
+  // Radius interference charges only the nodes in its ball.
+  EXPECT_TRUE(injector.attributable(3, at_s(12), grace));
+  EXPECT_TRUE(injector.attributable(5, at_s(12), grace));
+  EXPECT_FALSE(injector.attributable(4, at_s(12), grace));
+  // Radius pressure charges every node in its ball, not just the center.
+  EXPECT_TRUE(injector.attributable(7, at_s(32), grace));
+  EXPECT_TRUE(injector.attributable(20, at_s(32), grace));
+  EXPECT_FALSE(injector.attributable(5, at_s(32), grace));
+  // Radius-0 interference charges every node.
+  EXPECT_TRUE(injector.attributable(4, at_s(52), grace));
+  EXPECT_FALSE(injector.attributable(4, at_s(45), grace));
 }
 
 }  // namespace
