@@ -9,23 +9,8 @@
 
 namespace mgap::campaign {
 
-namespace {
-
-using testbed::trim;
-
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  std::size_t pos = 0;
-  while (true) {
-    const auto next = s.find(sep, pos);
-    out.push_back(trim(s.substr(pos, next - pos)));
-    if (next == std::string_view::npos) break;
-    pos = next + 1;
-  }
-  return out;
-}
-
-}  // namespace
+using sim::split;
+using sim::trim;
 
 std::size_t CampaignSpec::grid_size() const {
   std::size_t n = 1;

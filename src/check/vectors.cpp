@@ -1,24 +1,17 @@
 #include "check/vectors.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/number.hpp"
+
 namespace mgap::check {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
+using sim::trim;
 
 int hex_digit(char c) {
   if (c >= '0' && c <= '9') return c - '0';
@@ -86,15 +79,10 @@ std::vector<Vector> parse_vectors(const std::string& text) {
     current_fields.clear();
   };
 
-  std::istringstream in{text};
-  std::string raw;
   std::size_t line_no = 0;
-  while (std::getline(in, raw)) {
+  for (std::string_view line : sim::split(text, '\n')) {
     ++line_no;
-    std::string_view line = raw;
-    const auto hash = line.find('#');
-    if (hash != std::string_view::npos) line = line.substr(0, hash);
-    line = trim(line);
+    line = trim(line.substr(0, line.find('#')));
     if (line.empty()) continue;
     if (line.front() == '[') {
       if (line.back() != ']' || line.size() < 3) {

@@ -147,19 +147,38 @@ double FaultInjector::windowed_channel_per(NodeId receiver, std::uint8_t channel
   return per;
 }
 
+const InjectedFault* FaultInjector::latest_open(FaultKind kind, NodeId node) const {
+  const InjectedFault* latest = nullptr;
+  for (const InjectedFault& f : timeline_) {
+    if (f.event.kind == kind && f.event.node == node && f.open_at(sim_.now())) latest = &f;
+  }
+  return latest;
+}
+
 void FaultInjector::apply_drift(NodeId node) {
   ble::Controller* ctrl = world_ == nullptr ? nullptr : world_->find(node);
   const auto built = built_drift_.find(node);
   if (ctrl == nullptr || built == built_drift_.end()) return;
   // The latest-begun open window on the node sets its drift.
-  double ppm = built->second;
-  for (const InjectedFault& f : timeline_) {
-    if (f.event.kind == FaultKind::kClockDrift && f.event.node == node &&
-        f.open_at(sim_.now())) {
-      ppm = f.event.ppm;
-    }
+  const InjectedFault* f = latest_open(FaultKind::kClockDrift, node);
+  ctrl->set_clock_drift(f != nullptr ? f->event.ppm : built->second);
+}
+
+void FaultInjector::apply_crash(NodeId node) {
+  // A node is down while any crash window on it is open; only a change of
+  // that answer powers it off or reboots it.
+  const bool down = latest_open(FaultKind::kCrash, node) != nullptr;
+  if (down == down_.contains(node)) return;
+  if (ble::Controller* ctrl = world_ == nullptr ? nullptr : world_->find(node)) {
+    ctrl->set_radio_on(!down);
   }
-  ctrl->set_clock_drift(ppm);
+  if (down) {
+    down_.insert(node);
+    if (hooks_.on_crash) hooks_.on_crash(node);
+  } else {
+    down_.erase(node);
+    if (hooks_.on_reboot) hooks_.on_reboot(node);
+  }
 }
 
 void FaultInjector::record_fault(const InjectedFault& f, std::size_t index,
@@ -185,13 +204,9 @@ void FaultInjector::begin_fault(std::size_t index) {
   record_fault(f, index, true);
 
   switch (ev.kind) {
-    case FaultKind::kCrash: {
-      if (world_ != nullptr) {
-        if (ble::Controller* ctrl = world_->find(ev.node)) ctrl->set_radio_on(false);
-      }
-      if (hooks_.on_crash) hooks_.on_crash(ev.node);
+    case FaultKind::kCrash:
+      apply_crash(ev.node);
       break;
-    }
     case FaultKind::kBlackout:
     case FaultKind::kAttenuate:
     case FaultKind::kInterfere:
@@ -226,13 +241,9 @@ void FaultInjector::end_fault(std::size_t index) {
   record_fault(f, index, false);
 
   switch (ev.kind) {
-    case FaultKind::kCrash: {
-      if (world_ != nullptr) {
-        if (ble::Controller* ctrl = world_->find(ev.node)) ctrl->set_radio_on(true);
-      }
-      if (hooks_.on_reboot) hooks_.on_reboot(ev.node);
+    case FaultKind::kCrash:
+      apply_crash(ev.node);
       break;
-    }
     case FaultKind::kClockDrift:
       apply_drift(ev.node);
       break;

@@ -11,13 +11,15 @@
 //
 // A windowed fault's effect is a function of the clock and the faults open
 // at that instant: link and channel error rates are queried through hooks
-// on the world, and a drift edge recomputes the node's drift from the open
-// drift windows. Nothing is saved at a window's begin and written back at
-// its end, so overlapping windows compose in any order.
+// on the world, a drift edge recomputes the node's drift from the open
+// drift windows, and a crash edge keeps the node down while any of its
+// crash windows is open. Nothing is saved at a window's begin and written
+// back at its end, so overlapping windows compose in any order.
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -93,7 +95,10 @@ class FaultInjector {
   [[nodiscard]] phy::LinkPer windowed_link_per(NodeId a, NodeId b) const;
   [[nodiscard]] double windowed_channel_per(NodeId receiver, std::uint8_t channel,
                                             double base) const;
+  /// The latest-begun fault of `kind` on `node` open now, else null.
+  [[nodiscard]] const InjectedFault* latest_open(FaultKind kind, NodeId node) const;
   void apply_drift(NodeId node);
+  void apply_crash(NodeId node);
   void record_fault(const InjectedFault& f, std::size_t index, bool begin);
 
   sim::Simulator& sim_;
@@ -105,6 +110,8 @@ class FaultInjector {
   /// Each drift-faulted node's drift as built, read at arm(): its drift
   /// while none of its drift windows is open.
   std::map<NodeId, double> built_drift_;
+  /// Nodes a crash window holds down now.
+  std::set<NodeId> down_;
   /// Bytes each pressure fault took from each scope node (indexed like
   /// timeline_, then like its scope), freed when the window ends.
   std::vector<std::vector<std::size_t>> seized_;

@@ -1,7 +1,6 @@
 #include "fault/spec.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <iterator>
 #include <span>
 #include <stdexcept>
@@ -19,38 +18,49 @@ namespace {
 using E = FaultEvent;
 using sim::Opts;
 
-/// One `name=value` field of a fault kind. Absent, a required field fails,
-/// an optional one parses its fallback text, if any, else keeps the member's
-/// default. Required fields and those with a fallback always render; the
-/// others only off the default.
+/// One `name=value` field of a fault kind; `name` ends in '='. Absent, a
+/// required field fails, an optional one parses its fallback text, if any,
+/// else keeps the member's default. Required fields and those with a
+/// fallback always render; the others only off the default.
 struct Field {
   std::string_view name;
   void (*parse)(E&, const Field&, std::string_view value);
   std::string (*format)(const E&, const Field&);
+  /// Throws unless the member meets `opt`; an optional field left at its
+  /// default was not given and passes.
+  void (*check)(const E&, const Field&);
   bool required;
   Opts opt;
   std::string_view fallback;
 };
 
-std::string label(const Field& f) { return std::string(f.name) + "="; }
-
 template <auto P>
 void parse_member(E& ev, const Field& f, std::string_view v) {
-  sim::parse_value(ev.*P, v, f.opt, "fault", label(f));
+  sim::parse_value(ev.*P, v, f.opt, "fault", f.name);
 }
 template <auto P>
 std::string format_member(const E& ev, const Field& f) {
   return sim::format_value(ev.*P, f.opt);
 }
+template <auto P>
+void check_member(const E& ev, const Field& f) {
+  if (!f.required && ev.*P == E{}.*P) return;
+  sim::check_value(ev.*P, f.opt, "fault", f.name);
+}
 
 // "A-B": link=2-5, channels=10-14.
 template <auto A, auto B>
 void parse_span(E& ev, const Field& f, std::string_view v) {
-  sim::parse_pair(ev.*A, ev.*B, '-', v, f.opt, "fault", label(f));
+  sim::parse_pair(ev.*A, ev.*B, '-', v, f.opt, "fault", f.name);
 }
 template <auto A, auto B>
 std::string format_span(const E& ev, const Field& f) {
   return sim::format_value(ev.*A, f.opt) + "-" + sim::format_value(ev.*B, f.opt);
+}
+template <auto A, auto B>
+void check_span(const E& ev, const Field& f) {
+  sim::check_value(ev.*A, f.opt, "fault", f.name);
+  sim::check_value(ev.*B, f.opt, "fault", f.name);
 }
 
 constexpr bool kRequired = true;
@@ -59,11 +69,11 @@ constexpr bool kOptional = false;
 template <auto P>
 constexpr Field field(std::string_view name, bool required, Opts opt = {},
                       std::string_view fallback = {}) {
-  return {name, parse_member<P>, format_member<P>, required, opt, fallback};
+  return {name, parse_member<P>, format_member<P>, check_member<P>, required, opt, fallback};
 }
 template <auto A, auto B>
 constexpr Field span(std::string_view name, Opts opt) {
-  return {name, parse_span<A, B>, format_span<A, B>, kRequired, opt, {}};
+  return {name, parse_span<A, B>, format_span<A, B>, check_span<A, B>, kRequired, opt, {}};
 }
 
 // kInvalidNode marks "no node", so no field may name it.
@@ -73,26 +83,27 @@ constexpr Opts kRadius{.open_lo = true};  // meters > 0
 // Twice the BLE sleep clock's 500 ppm worst case; chaos draws +-150.
 constexpr Opts kPpm{.lo = -1000, .hi = 1000};
 
-constexpr Field kAt = field<&E::at>("at", kRequired);
-constexpr Field kNode = field<&E::node>("node", kRequired, kNodeId);
-constexpr Field kFor = field<&E::duration>("for", kRequired);
-constexpr Field kLink = span<&E::node, &E::peer>("link", kNodeId);
+constexpr Field kAt = field<&E::at>("at=", kRequired);
+constexpr Field kNode = field<&E::node>("node=", kRequired, kNodeId);
+constexpr Field kFor = field<&E::duration>("for=", kRequired);
+constexpr Field kLink = span<&E::node, &E::peer>("link=", kNodeId);
 
-constexpr Field kCrash[] = {kNode, kAt, field<&E::duration>("reboot_after", kOptional)};
+constexpr Field kCrash[] = {kNode, kAt, field<&E::duration>("reboot_after=", kOptional)};
 constexpr Field kBlackout[] = {kLink, kAt, kFor};
-constexpr Field kAttenuate[] = {kLink, kAt, kFor, field<&E::per>("per", kRequired, kPer)};
+constexpr Field kAttenuate[] = {kLink, kAt, kFor, field<&E::per>("per=", kRequired, kPer)};
 // A radius scopes interference to the nodes around `node`.
-constexpr Field kInterfere[] = {span<&E::chan_lo, &E::chan_hi>("channels", {.hi = 36}),
+constexpr Field kInterfere[] = {span<&E::chan_lo, &E::chan_hi>("channels=", {.hi = 36}),
                                 kAt,
                                 kFor,
-                                field<&E::per>("per", kOptional, kPer, "0.9"),
-                                field<&E::node>("node", kOptional, kNodeId),
-                                field<&E::radius>("radius", kOptional, kRadius)};
-constexpr Field kClockDrift[] = {kNode, kAt, field<&E::ppm>("ppm", kRequired, kPpm),
-                                 field<&E::duration>("for", kOptional)};
-constexpr Field kClockStep[] = {kNode, kAt, field<&E::step>("step", kRequired, {.lo = -sim::kInf})};
-constexpr Field kPressure[] = {kNode, kAt, kFor, field<&E::bytes>("bytes", kRequired, {.lo = 1}),
-                               field<&E::radius>("radius", kOptional, kRadius)};
+                                field<&E::per>("per=", kOptional, kPer, "0.9"),
+                                field<&E::node>("node=", kOptional, kNodeId),
+                                field<&E::radius>("radius=", kOptional, kRadius)};
+constexpr Field kClockDrift[] = {kNode, kAt, field<&E::ppm>("ppm=", kRequired, kPpm),
+                                 field<&E::duration>("for=", kOptional)};
+constexpr Field kClockStep[] = {kNode, kAt,
+                                field<&E::step>("step=", kRequired, {.lo = -sim::kInf})};
+constexpr Field kPressure[] = {kNode, kAt, kFor, field<&E::bytes>("bytes=", kRequired, {.lo = 1}),
+                               field<&E::radius>("radius=", kOptional, kRadius)};
 
 /// Every fault kind: its name and its fields in render order. Indexed by
 /// FaultKind.
@@ -123,7 +134,7 @@ std::string FaultEvent::str() const {
   for (const Field& f : k.fields) {
     const std::string value = f.format(*this, f);
     if (!f.required && f.fallback.empty() && value == f.format(FaultEvent{}, f)) continue;
-    out.append(" ").append(f.name).append("=").append(value);
+    out.append(" ").append(f.name).append(value);
   }
   return out;
 }
@@ -131,17 +142,9 @@ std::string FaultEvent::str() const {
 FaultEvent parse_fault_event(std::string_view text) {
   // Tokenize on whitespace: first token is the kind, the rest key=value.
   std::vector<std::string_view> tokens;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-    std::size_t end = pos;
-    while (end < text.size() && !std::isspace(static_cast<unsigned char>(text[end]))) {
-      ++end;
-    }
-    if (end > pos) tokens.push_back(text.substr(pos, end - pos));
-    pos = end;
+  for (auto pos = text.find_first_not_of(sim::kSpace); pos != std::string_view::npos;
+       pos = text.find_first_not_of(sim::kSpace, pos + tokens.back().size())) {
+    tokens.push_back(text.substr(pos, text.find_first_of(sim::kSpace, pos) - pos));
   }
   if (tokens.empty()) fail("empty fault spec");
 
@@ -154,11 +157,12 @@ FaultEvent parse_fault_event(std::string_view text) {
     if (eq == std::string_view::npos || eq == 0) {
       fail("expected key=value, got '" + std::string(tokens[i]) + "'");
     }
-    const std::string_view key = tokens[i].substr(0, eq);
+    const std::string_view key = tokens[i].substr(0, eq + 1);
     const auto f = std::find_if(kind.fields.begin(), kind.fields.end(),
                                 [key](const Field& x) { return x.name == key; });
     if (f == kind.fields.end()) {
-      fail("unknown key '" + std::string(key) + "' for " + std::string(kind.name));
+      fail("unknown key '" + std::string(key.substr(0, eq)) + "' for " +
+           std::string(kind.name));
     }
     f->parse(ev, *f, tokens[i].substr(eq + 1));
     seen[static_cast<std::size_t>(f - kind.fields.begin())] = true;
@@ -166,32 +170,27 @@ FaultEvent parse_fault_event(std::string_view text) {
   for (std::size_t i = 0; i < kind.fields.size(); ++i) {
     const Field& f = kind.fields[i];
     if (seen[i]) continue;
-    if (f.required) fail(std::string(kind.name) + " needs " + label(f));
+    if (f.required) fail(std::string(kind.name) + " needs " + std::string(f.name));
     if (!f.fallback.empty()) f.parse(ev, f, f.fallback);
   }
+  validate(ev);
+  return ev;
+}
 
+void validate(const FaultEvent& ev) {
+  for (const Field& f : kind_of(ev.kind).fields) f.check(ev, f);
   // The rules that span fields.
   if (ev.peer != kInvalidNode && ev.node == ev.peer) fail("link= needs two distinct nodes");
   if (ev.chan_lo > ev.chan_hi) fail("channels= needs LO <= HI");
   if (ev.kind == FaultKind::kInterfere && (ev.node == kInvalidNode) != (ev.radius == 0.0)) {
     fail("interfere takes node= and radius= together");
   }
-  return ev;
 }
 
 std::vector<FaultKind> parse_kind_list(std::string_view text) {
   std::vector<FaultKind> out;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const auto plus = text.find('+', pos);
-    const std::string_view item =
-        text.substr(pos, plus == std::string_view::npos ? std::string_view::npos
-                                                        : plus - pos);
-    if (!item.empty()) {
-      out.push_back(find_kind(item));
-    }
-    if (plus == std::string_view::npos) break;
-    pos = plus + 1;
+  for (const std::string_view item : sim::split(text, '+')) {
+    if (!item.empty()) out.push_back(find_kind(item));
   }
   return out;
 }

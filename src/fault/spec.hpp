@@ -19,10 +19,10 @@
 // Each kind's `key=value` fields are rows of one table in spec.cpp: the
 // field name, the FaultEvent member it binds, whether it is required, and
 // its bounds. The table drives parsing, the allowed-key check, the error
-// text and str(); values go through the experiment-config key table's
-// binders (sim/binders.hpp), so a node id, a PER or a duration is checked
-// and spelled the same in a `fault.N` value as in a config key, and reals
-// render in shortest round-trip form.
+// text, validate() and str(); values go through the experiment-config key
+// table's binders (sim/binders.hpp), so a node id, a PER or a duration is
+// checked and spelled the same in a `fault.N` value as in a config key, and
+// reals render in shortest round-trip form.
 
 #include <cstdint>
 #include <string>
@@ -86,6 +86,10 @@ struct FaultEvent {
 ///   clock_step  node=N at=T step=D
 ///   pressure    node=N at=T for=D bytes=B [radius=R]
 [[nodiscard]] FaultEvent parse_fault_event(std::string_view text);
+
+/// Throws std::runtime_error, with parse_fault_event's text, unless each
+/// field of `ev`'s kind meets its bounds and the cross-field rules hold.
+void validate(const FaultEvent& ev);
 
 /// Chaos mode: a seeded Poisson process of faults over the experiment
 /// horizon, with per-kind parameters drawn from modest distributions. The

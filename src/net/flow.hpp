@@ -13,7 +13,6 @@
 //    fast while the link is hopeless, probe gently on recovery.
 
 #include <cstdint>
-#include <stdexcept>
 
 #include "sim/time.hpp"
 
@@ -55,16 +54,6 @@ struct FlowConfig {
 
   [[nodiscard]] bool bounded_queue() const { return txq_frames > 0; }
   [[nodiscard]] bool any() const { return bounded_queue() || backoff || breaker; }
-
-  /// Cross-field checks; throws std::runtime_error naming the config keys.
-  void validate() const {
-    if (congest_off_pct > congest_on_pct) {
-      throw std::runtime_error{"flow.congest_off_pct must not exceed flow.congest_on_pct"};
-    }
-    if (backoff_base > backoff_max) {
-      throw std::runtime_error{"flow.backoff_base must not exceed flow.backoff_max"};
-    }
-  }
 };
 
 /// Timing-free circuit-breaker state machine; the caller supplies `now` so
@@ -77,9 +66,7 @@ struct FlowConfig {
 class CircuitBreaker {
  public:
   CircuitBreaker(unsigned threshold, sim::Duration open_for, unsigned probes)
-      : threshold_{threshold == 0 ? 1 : threshold},
-        open_for_{open_for},
-        probes_{probes == 0 ? 1 : probes} {}
+      : threshold_{threshold}, open_for_{open_for}, probes_{probes} {}
 
   /// Whether a send may be attempted at `now`. Transitions open -> half-open
   /// once the open window has elapsed.

@@ -2,10 +2,12 @@
 // Typed value binders for description tables: the experiment config's key
 // table (testbed/config_file.cpp) and the per-kind field tables of fault
 // events (fault/spec.cpp). A row names a field and its Opts; the field's type
-// picks the binder that parses one value text into it and renders it back:
-// a duration or time point with a lower bound, a real or unsigned integer
-// in [lo, hi], a bool, or one of two enum names. Errors read
-// "<domain>: bad <name>" or "<domain>: <name> out of range [lo, hi]".
+// picks the binder that parses one value text into it, checks a value
+// against the row's bounds, and renders it back: a duration or time point
+// with a lower bound, a finite real or unsigned integer in [lo, hi], a bool,
+// one of two enum names, or a text. Parsing ends in the check, so a value
+// built in code and one read from text meet the same bounds with the same
+// error: "<domain>: bad <name>" or "<domain>: <name> out of range [lo, hi]".
 
 #include <array>
 #include <cmath>
@@ -33,7 +35,8 @@ struct Opts {
   double hi{kInf};   // infinite: no range to state, a violation is "bad"
   bool open_lo{false};
   /// Enum and two-word flag rows: the spellings of values 0 and 1. Duration
-  /// rows: two words that also mean zero.
+  /// rows: two words that also mean zero. Text rows: two words that mean
+  /// the empty text.
   std::array<std::string_view, 2> names{};
 };
 
@@ -43,12 +46,12 @@ namespace detail {
   throw std::runtime_error{std::string(domain) + ": bad " + std::string(name)};
 }
 
-/// Throws unless `v` lies within the bounds (NaN never does); `spell`
-/// writes a bound.
+/// Throws unless `v` is finite and lies within the bounds; `spell` writes a
+/// bound.
 template <class Spell>
 void check_bounds(double v, const Opts& o, std::string_view domain, std::string_view name,
                   Spell spell) {
-  if (v >= o.lo && v <= o.hi && !(o.open_lo && v == o.lo)) return;
+  if (std::isfinite(v) && v >= o.lo && v <= o.hi && !(o.open_lo && v == o.lo)) return;
   if (std::isnan(v) || o.hi == kInf) bad(domain, name);
   throw std::runtime_error{std::string(domain) + ": " + std::string(name) + " out of range " +
                            (o.open_lo ? "(" : "[") + spell(o.lo) + ", " + spell(o.hi) + "]"};
@@ -56,51 +59,68 @@ void check_bounds(double v, const Opts& o, std::string_view domain, std::string_
 
 }  // namespace detail
 
+/// Throws std::runtime_error naming `domain` and `name` unless `field` meets
+/// `o`; allocates only to throw.
+template <class T>
+void check_value(const T& field, const Opts& o, std::string_view domain, std::string_view name) {
+  if constexpr (std::is_same_v<T, Duration> || std::is_same_v<T, TimePoint>) {
+    const std::int64_t ns = field.count_ns();
+    // A negative duration is a sign error, not a range error.
+    if (ns < 0 && o.lo >= 0) detail::bad(domain, name);
+    detail::check_bounds(static_cast<double>(ns), o, domain, name, [](double b) {
+      return Duration::ns(static_cast<std::int64_t>(b)).str();
+    });
+  } else if constexpr (std::is_same_v<T, double>) {
+    detail::check_bounds(field, o, domain, name, format_real);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    // Any text.
+  } else if (!o.names[0].empty()) {
+    if (static_cast<std::uint64_t>(field) > 1) detail::bad(domain, name);
+  } else if constexpr (std::is_integral_v<T>) {
+    detail::check_bounds(static_cast<double>(field), o, domain, name,
+                         [](double b) { return std::to_string(static_cast<std::uint64_t>(b)); });
+  }
+}
+
 /// Parses `v` into `field` under `o`; throws std::runtime_error naming
-/// `domain` and `name` on a malformed or out-of-bounds value.
+/// `domain` and `name` on a malformed or out-of-bounds value, and then
+/// leaves `field` as it was.
 template <class T>
 void parse_value(T& field, std::string_view v, const Opts& o, std::string_view domain,
                  std::string_view name) {
   const auto& names = o.names;
+  const bool named = !names[0].empty() && (v == names[0] || v == names[1]);
+  T value{};
   if constexpr (std::is_same_v<T, Duration> || std::is_same_v<T, TimePoint>) {
-    const bool zero = !names[0].empty() && (v == names[0] || v == names[1]);
-    const auto d = zero ? Duration{} : parse_duration(v);
-    // A negative duration is a sign error, not a range error.
-    if (!d || (d->is_negative() && o.lo >= 0)) detail::bad(domain, name);
-    detail::check_bounds(static_cast<double>(d->count_ns()), o, domain, name, [](double ns) {
-      return Duration::ns(static_cast<std::int64_t>(ns)).str();
-    });
-    if constexpr (std::is_same_v<T, TimePoint>) {
-      field = TimePoint::origin() + *d;
-    } else {
-      field = *d;
-    }
+    const auto d = named ? Duration{} : parse_duration(v);
+    if (!d) detail::bad(domain, name);
+    value += *d;
   } else if constexpr (std::is_same_v<T, double>) {
     const auto n = parse_real(v);
     if (!n) detail::bad(domain, name);
-    detail::check_bounds(*n, o, domain, name, format_real);
-    field = *n;
+    value = *n;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!named) value = v;
   } else if (!names[0].empty()) {
-    if (v != names[0] && v != names[1]) {
+    if (!named) {
       throw std::runtime_error{std::string(domain) + ": unknown " + std::string(name) + " '" +
                                std::string(v) + "' (" + std::string(names[0]) + "|" +
                                std::string(names[1]) + ")"};
     }
-    field = static_cast<T>(v == names[1]);
+    value = static_cast<T>(v == names[1]);
   } else if constexpr (std::is_same_v<T, bool>) {
-    const bool yes = v == "true" || v == "yes" || v == "1";
-    if (!yes && v != "false" && v != "no" && v != "0") {
+    value = v == "true" || v == "yes" || v == "1";
+    if (!value && v != "false" && v != "no" && v != "0") {
       throw std::runtime_error{std::string(domain) + ": bad boolean for '" + std::string(name) +
                                "'"};
     }
-    field = yes;
   } else if constexpr (std::is_integral_v<T>) {
     const auto n = parse_uint(v);
     if (!n || *n > std::numeric_limits<T>::max()) detail::bad(domain, name);
-    detail::check_bounds(static_cast<double>(*n), o, domain, name,
-                         [](double b) { return std::to_string(static_cast<std::uint64_t>(b)); });
-    field = static_cast<T>(*n);
+    value = static_cast<T>(*n);
   }
+  check_value(value, o, domain, name);
+  field = std::move(value);
 }
 
 /// The text parse_value reads back to `field`.
@@ -112,6 +132,8 @@ std::string format_value(const T& field, const Opts& o) {
     return field.since_origin().str();
   } else if constexpr (std::is_same_v<T, double>) {
     return format_real(field);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return field;
   } else if (!o.names[0].empty()) {
     return std::string(o.names[static_cast<std::size_t>(field)]);
   } else if constexpr (std::is_same_v<T, bool>) {

@@ -1,8 +1,8 @@
 #pragma once
-// Numbers in description files: strict parsing of a whole token, and the
-// shortest text that parses back to the identical double. Config renders
-// and campaign outputs print reals with format_real, so they are exact and
-// the same on every run and thread.
+// Numbers and tokens in description files: trimming and splitting, strict
+// parsing of a whole token, and the shortest text that parses back to the
+// identical double. Config renders and campaign outputs print reals with
+// format_real, so they are exact and the same on every run and thread.
 
 #include <charconv>
 #include <cmath>
@@ -10,8 +10,31 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace mgap::sim {
+
+/// The characters std::isspace accepts in the C locale.
+inline constexpr std::string_view kSpace = " \t\n\v\f\r";
+
+/// `s` without leading and trailing whitespace.
+[[nodiscard]] inline std::string_view trim(std::string_view s) {
+  const auto first = s.find_first_not_of(kSpace);
+  if (first == std::string_view::npos) return {};
+  return s.substr(first, s.find_last_not_of(kSpace) - first + 1);
+}
+
+/// The trimmed parts of `s` between the separators `sep`, empty ones too.
+[[nodiscard]] inline std::vector<std::string_view> split(std::string_view s, char sep) {
+  std::vector<std::string_view> out;
+  std::size_t pos = 0;
+  while (true) {
+    const auto next = s.find(sep, pos);
+    out.push_back(trim(s.substr(pos, next - pos)));
+    if (next == std::string_view::npos) return out;
+    pos = next + 1;
+  }
+}
 
 [[nodiscard]] inline std::string format_real(double v) {
   char buf[32];

@@ -1,9 +1,10 @@
 #include "sim/time.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+
+#include "sim/number.hpp"
 
 namespace mgap::sim {
 
@@ -28,12 +29,7 @@ std::string TimePoint::str() const {
 }
 
 std::optional<Duration> parse_duration(std::string_view text) {
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front()))) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back()))) {
-    text.remove_suffix(1);
-  }
+  text = trim(text);
   if (text.empty()) return std::nullopt;
   bool negative = false;
   if (text.front() == '-') {

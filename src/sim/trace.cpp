@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "sim/number.hpp"
+
 namespace mgap::sim {
 
 std::string_view to_string(TraceCat cat) {
@@ -27,20 +29,9 @@ std::optional<TraceCat> trace_cat_from_string(std::string_view name) {
 }
 
 std::uint32_t parse_trace_cat_mask(std::string_view list) {
-  auto trim = [](std::string_view s) {
-    while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-    while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
-    return s;
-  };
   if (trim(list) == "all") return kAllTraceCats;
   std::uint32_t mask = 0;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const auto comma = list.find(',', pos);
-    const std::string_view token =
-        trim(list.substr(pos, comma == std::string_view::npos ? std::string_view::npos
-                                                              : comma - pos));
-    pos = comma == std::string_view::npos ? list.size() + 1 : comma + 1;
+  for (const std::string_view token : split(list, ',')) {
     if (token.empty()) continue;
     const auto cat = trace_cat_from_string(token);
     if (!cat) {

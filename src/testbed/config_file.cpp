@@ -1,6 +1,6 @@
 #include "testbed/config_file.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -17,10 +17,7 @@ using C = ExperimentConfig;
 using sim::kInf;
 using sim::Opts;
 using sim::Show;
-
-std::runtime_error bad(std::string_view key) {
-  return std::runtime_error{"config: bad " + std::string(key)};
-}
+using sim::trim;
 
 // --- the key table's row type ------------------------------------------------
 
@@ -37,11 +34,25 @@ struct Key {
   Opts opt{};
   /// A typed row renders only where this holds (null: everywhere).
   bool (*shown)(const C&){nullptr};
+  /// Throws unless the row's value meets its bounds, however it was set.
+  void (*check)(const C&, const Key&){nullptr};
 };
 
 std::runtime_error unknown(const Key& k, std::string_view v, std::string_view choices = {}) {
   return std::runtime_error{"config: unknown " + std::string(k.name) + " '" + std::string(v) +
                             "'" + std::string(choices)};
+}
+
+/// Runs `fn`; an error it throws reads "config: <what>: <error>", with
+/// `what` in quotes when `quote` is set.
+template <class Fn>
+void naming(std::string_view what, bool quote, Fn fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    const std::string q = quote ? "'" : "";
+    throw std::runtime_error{"config: " + q + std::string(what) + q + ": " + e.what()};
+  }
 }
 
 void line(std::string& out, std::string_view key, std::string_view value) {
@@ -69,8 +80,13 @@ void render_field(std::string& out, const C& c, const C& defaults, const Key& k)
 }
 
 template <auto... P>
+void check_field(const C& c, const Key& k) {
+  sim::check_value(at<P...>(c), k.opt, "config", k.name);
+}
+
+template <auto... P>
 constexpr Key field(std::string_view name, Opts opt = {}, bool (*shown)(const C&) = nullptr) {
-  return {name, parse_field<P...>, render_field<P...>, opt, shown};
+  return {name, parse_field<P...>, render_field<P...>, opt, shown, check_field<P...>};
 }
 
 // --- hand-written rows ---------------------------------------------------------
@@ -101,20 +117,21 @@ void render_backend(std::string& out, const C& c, const C&, const Key& k) {
   if (!legacy_radio(c)) line(out, k.name, core::to_string(c.radio));
 }
 
+// Every world's node count: `topo.nodes` and the N of `starN`, `self_formingN`.
+constexpr Opts kNodes{.lo = 2, .hi = topo::kMaxNodes};
+
 void parse_topology(C& c, const Key& k, std::string_view, std::string_view v) {
+  unsigned n = 0;
   if (v == "tree15" || v == "tree") {
     c.topology = Topology::tree15();
   } else if (v == "line15" || v == "line") {
     c.topology = Topology::line15();
   } else if (v.starts_with("star")) {
-    const auto n = sim::parse_real(v.substr(4));
-    if (!n || *n < 2) throw bad(k.name);
-    c.topology = Topology::star(static_cast<unsigned>(*n));
+    sim::parse_value(n, v.substr(4), kNodes, "config", k.name);
+    c.topology = Topology::star(n);
   } else if (v.starts_with("self_forming")) {
-    // The generated worlds' node-count bound.
-    const auto n = sim::parse_uint(v.substr(12));
-    if (!n || *n < 2 || *n > 100'000) throw bad(k.name);
-    c.topology = Topology::self_forming(static_cast<unsigned>(*n));
+    sim::parse_value(n, v.substr(12), kNodes, "config", k.name);
+    c.topology = Topology::self_forming(n);
   } else {
     throw unknown(k, v);
   }
@@ -157,24 +174,26 @@ void render_rooms(std::string& out, const C& c, const C&, const Key& k) {
 
 /// "65:85ms" or "65ms:85ms" -> randomized policy; plain duration -> fixed.
 void parse_policy(C& c, const Key& k, std::string_view, std::string_view v) {
+  sim::Duration lo;
   const auto colon = v.find(':');
   if (colon == std::string_view::npos) {
-    const auto d = sim::parse_duration(v);
-    if (!d || d->is_negative()) throw bad(k.name);
-    c.policy = core::IntervalPolicy::fixed(*d);
+    sim::parse_value(lo, v, k.opt, "config", k.name);
+    c.policy = core::IntervalPolicy::fixed(lo);
     return;
   }
-  const std::string_view lo_s = trim(v.substr(0, colon));
+  sim::Duration hi;
   const std::string_view hi_s = trim(v.substr(colon + 1));
-  const auto hi = sim::parse_duration(hi_s);
-  auto lo = sim::parse_duration(lo_s);
+  sim::parse_value(hi, hi_s, k.opt, "config", k.name);
+  std::string lo_s{trim(v.substr(0, colon))};
   // The shorthand "65:85ms" puts the unit on the upper bound only.
-  if (hi && !lo && sim::parse_real(lo_s)) {
-    lo = sim::parse_duration(std::string(lo_s) +
-                        std::string(hi_s.substr(hi_s.find_first_not_of("0123456789."))));
-  }
-  if (!lo || !hi || lo->is_negative() || *hi < *lo) throw bad(k.name);
-  c.policy = core::IntervalPolicy::randomized(*lo, *hi);
+  if (sim::parse_real(lo_s)) lo_s += hi_s.substr(hi_s.find_first_not_of("0123456789."));
+  sim::parse_value(lo, lo_s, k.opt, "config", k.name);
+  sim::check_value(hi - lo, k.opt, "config", k.name);  // an inverted window is bad
+  c.policy = core::IntervalPolicy::randomized(lo, hi);
+}
+// IntervalPolicy keeps lo <= hi itself; lo carries the bound.
+void check_policy(const C& c, const Key& k) {
+  sim::check_value(c.policy.lo(), k.opt, "config", k.name);
 }
 void render_policy(std::string& out, const C& c, const C&, const Key& k) {
   const core::IntervalPolicy& p = c.policy;
@@ -188,22 +207,19 @@ void parse_fault(C& c, const Key&, std::string_view key, std::string_view v) {
     c.faults.erase(std::string(key));
     return;
   }
-  try {
-    c.faults[std::string(key)] = fault::parse_fault_event(v);
-  } catch (const std::exception& e) {
-    throw std::runtime_error{"config: '" + std::string(key) + "': " + e.what()};
-  }
+  naming(key, true, [&] { c.faults[std::string(key)] = fault::parse_fault_event(v); });
 }
 void render_faults(std::string& out, const C& c, const C&, const Key&) {
   for (const auto& [key, ev] : c.faults) line(out, key, ev.str());
 }
+void check_faults(const C& c, const Key&) {
+  for (const auto& entry : c.faults) {
+    naming(entry.first, true, [&] { fault::validate(entry.second); });
+  }
+}
 
 void parse_chaos_kinds(C& c, const Key& k, std::string_view, std::string_view v) {
-  try {
-    c.chaos.kinds = fault::parse_kind_list(v);
-  } catch (const std::exception& e) {
-    throw std::runtime_error{"config: " + std::string(k.name) + ": " + e.what()};
-  }
+  naming(k.name, false, [&] { c.chaos.kinds = fault::parse_kind_list(v); });
 }
 void render_chaos_kinds(std::string& out, const C& c, const C&, const Key& k) {
   if (c.chaos.enabled() && !c.chaos.kinds.empty()) {
@@ -236,23 +252,8 @@ void parse_flow_preset(C& c, const Key& k, std::string_view, std::string_view v)
 // The knobs it sets render themselves.
 void render_nothing(std::string&, const C&, const C&, const Key&) {}
 
-// Trace sinks: "none"/"off" clears the path so a campaign axis can disable
-// tracing; an empty path renders nothing.
-template <auto P>
-void parse_path(C& c, const Key&, std::string_view, std::string_view v) {
-  c.*P = (v == "none" || v == "off") ? std::string{} : std::string(v);
-}
-template <auto P>
-void render_path(std::string& out, const C& c, const C&, const Key& k) {
-  if (!(c.*P).empty()) line(out, k.name, c.*P);
-}
-
 void parse_trace_cats(C& c, const Key& k, std::string_view, std::string_view v) {
-  try {
-    c.trace_categories = sim::parse_trace_cat_mask(std::string(v));
-  } catch (const std::exception& e) {
-    throw std::runtime_error{"config: " + std::string(k.name) + ": " + e.what()};
-  }
+  naming(k.name, false, [&] { c.trace_categories = sim::parse_trace_cat_mask(v); });
 }
 void render_trace_cats(std::string& out, const C& c, const C& defaults, const Key& k) {
   if (c.trace_categories != defaults.trace_categories) {
@@ -267,6 +268,7 @@ using Cc = app::CoapCcConfig;
 using M = mesh::MeshConfig;
 using T = topo::TopoSpec;
 constexpr Show kOff = Show::kOffDefault;
+constexpr Opts kTracePath{.show = kOff, .names = {"none", "off"}};
 
 /// Every config key, in render order. The newer keys render only off their
 /// defaults, so descriptions written before them stay byte-stable.
@@ -275,7 +277,7 @@ constexpr Key kKeys[] = {
     {"link.backend", parse_backend, render_backend},
     {"topology", parse_topology, render_topology},
     {"topo.generator", parse_generator, render_generator},
-    field<&C::topo, &T::nodes>("topo.nodes", {.lo = 1}, topo_on),
+    field<&C::topo, &T::nodes>("topo.nodes", kNodes, topo_on),
     field<&C::topo, &T::area>("topo.area", {}, topo_area),
     field<&C::topo, &T::density>("topo.density", {.open_lo = true}, topo_density),
     field<&C::topo, &T::range>("topo.range", {.open_lo = true}, topo_on),
@@ -291,7 +293,7 @@ constexpr Key kKeys[] = {
     field<&C::duration>("duration"),
     field<&C::producer_interval>("producer_interval"),
     field<&C::producer_jitter>("producer_jitter"),
-    {"conn_interval", parse_policy, render_policy},
+    {"conn_interval", parse_policy, render_policy, {}, nullptr, check_policy},
     field<&C::supervision_timeout>("supervision_timeout"),
     field<&C::payload_len>("payload_len"),
     field<&C::seed>("seed"),
@@ -305,7 +307,7 @@ constexpr Key kKeys[] = {
     field<&C::arena>("arena", {kOff}),
     field<&C::compression>("compression", {.names = {"uncompressed", "iphc"}}),
     field<&C::metrics_bucket>("metrics_bucket", {.lo = 0, .open_lo = true}),
-    {"fault.", parse_fault, render_faults},
+    {"fault.", parse_fault, render_faults, {}, nullptr, check_faults},
     field<&C::chaos, &fault::ChaosConfig::rate_per_min>("chaos_rate", {kOff, 0}),
     {"chaos_kinds", parse_chaos_kinds, render_chaos_kinds},
     field<&C::reconnect_backoff_base>("reconnect_backoff_base"),
@@ -340,10 +342,50 @@ constexpr Key kKeys[] = {
     field<&C::mesh, &M::reasm_entries>("mesh.reasm_entries", {kOff, 1, 256}),
     field<&C::mesh, &M::scan_duty>("mesh.scan_duty", {kOff, 0, 1, true}),
     field<&C::energy_account>("energy.account", {kOff}),
-    {"trace.file", parse_path<&C::trace_file>, render_path<&C::trace_file>},
-    {"trace.pcap", parse_path<&C::trace_pcap>, render_path<&C::trace_pcap>},
+    // "none"/"off" clears a path, so a campaign axis can disable tracing.
+    field<&C::trace_file>("trace.file", kTracePath),
+    field<&C::trace_pcap>("trace.pcap", kTracePath),
     {"trace.categories", parse_trace_cats, render_trace_cats},
 };
+
+/// The rules a self-forming topology (no edges) adds to a configuration: the
+/// BLE backend, no generated world, no crash faults, and chaos kinds it can
+/// sample. A no-op for wired topologies.
+void check_self_forming(const ExperimentConfig& config) {
+  if (config.topology.wired()) return;
+  const std::string topo =
+      "topology = " + config.topology.name + std::to_string(config.topology.nodes.size());
+  if (config.topo.enabled()) {
+    throw std::runtime_error{"config: " + topo + " cannot take topo.generator " +
+                             "(a generated world is wired)"};
+  }
+  if (config.radio != core::LinkBackendKind::kBle) {
+    throw std::runtime_error{"config: " + topo + " needs link.backend = ble " +
+                             "(dynconn forms BLE links)"};
+  }
+  // A crash would only switch the radio off: dynconn has no suspend/resume,
+  // so the run would not model a reboot.
+  for (const auto& [key, ev] : config.faults) {
+    if (ev.kind == fault::FaultKind::kCrash) {
+      throw std::runtime_error{"config: " + key + ": a crash needs a wired topology, not " +
+                               topo};
+    }
+  }
+  // Chaos link faults pick from the topology's edges, and a self-forming one
+  // has none: chaos samples node-scoped faults only, and needs one to sample.
+  if (config.chaos.enabled()) {
+    const auto& kinds = config.chaos.kinds;
+    const bool crash = std::find(kinds.begin(), kinds.end(), fault::FaultKind::kCrash) !=
+                       kinds.end();
+    const bool node_scoped = std::any_of(kinds.begin(), kinds.end(), [](fault::FaultKind k) {
+      return k != fault::FaultKind::kBlackout && k != fault::FaultKind::kAttenuate;
+    });
+    if (kinds.empty() || crash || !node_scoped) {
+      throw std::runtime_error{"config: chaos_kinds on " + topo +
+                               " must leave out crash and name a kind that needs no edge"};
+    }
+  }
+}
 
 const Key* find_key(std::string_view key) {
   for (const Key& k : kKeys) {
@@ -354,28 +396,12 @@ const Key* find_key(std::string_view key) {
 
 }  // namespace
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
 void for_each_key_value(
     std::string_view text, std::string_view what,
     const std::function<void(std::string_view, std::string_view, std::size_t)>& fn) {
   std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const auto nl = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
+  for (std::string_view line : sim::split(text, '\n')) {
     ++line_no;
-
     line = trim(line.substr(0, line.find('#')));
     if (line.empty()) continue;
     const auto eq = line.find('=');
@@ -394,8 +420,17 @@ void apply_experiment_kv(ExperimentConfig& cfg, std::string_view key, std::strin
 }
 
 void validate(const ExperimentConfig& cfg) {
+  for (const Key& k : kKeys) {
+    if (k.check != nullptr) k.check(cfg, k);
+  }
+  // The rules that span keys.
+  if (cfg.flow.congest_off_pct > cfg.flow.congest_on_pct) {
+    throw std::runtime_error{"config: flow.congest_off_pct must not exceed flow.congest_on_pct"};
+  }
+  if (cfg.flow.backoff_base > cfg.flow.backoff_max) {
+    throw std::runtime_error{"config: flow.backoff_base must not exceed flow.backoff_max"};
+  }
   try {
-    cfg.flow.validate();
     cfg.topo.validate();
   } catch (const std::exception& e) {
     throw std::runtime_error{"config: " + std::string(e.what())};

@@ -18,9 +18,6 @@
 
 namespace mgap::testbed {
 
-/// Strips leading and trailing whitespace.
-[[nodiscard]] std::string_view trim(std::string_view s);
-
 /// The line reader shared by the `.conf` and `.campaign` parsers: calls
 /// `fn(key, value, line_no)` for every `key = value` line in file order,
 /// skipping blanks and `#` comments. Throws "<what> line N: expected key =
@@ -35,18 +32,19 @@ void for_each_key_value(
 /// configuration, so sweep axes accept exactly the file syntax.
 void apply_experiment_kv(ExperimentConfig& cfg, std::string_view key, std::string_view value);
 
-/// The checks that span several keys (flow thresholds, the topo.* spec, the
-/// rules of a self-forming topology: check_self_forming);
-/// throws std::runtime_error. Both parsers run it on every configuration
-/// they produce.
+/// Checks a configuration however it was built: each key's value against
+/// its row's bounds (a `fault.N` against its kind's fields), then the rules
+/// that span keys. Throws std::runtime_error with the text a parse of the
+/// same value gives. Both parsers and the Experiment constructor run it.
 void validate(const ExperimentConfig& cfg);
 
 /// Every key the parser accepts, in render order; a name ending in '.' is a
 /// prefix (e.g. every `fault.N`).
 [[nodiscard]] std::vector<std::string_view> experiment_config_keys();
 
-/// Parses a full experiment description; throws std::runtime_error with the
-/// offending line on malformed input. Unknown keys are rejected (typo guard).
+/// Parses a full experiment description; throws std::runtime_error naming
+/// the offending key (not its line) on malformed input. Unknown keys are
+/// rejected (typo guard).
 [[nodiscard]] ExperimentConfig parse_experiment_config(std::string_view text);
 
 /// Loads and parses a description file.

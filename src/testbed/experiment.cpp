@@ -2,58 +2,22 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "mesh/backend.hpp"
 #include "testbed/backend_154.hpp"
 #include "testbed/backend_ble.hpp"
+#include "testbed/config_file.hpp"
 #include "topo/channel.hpp"
 #include "topo/spatial_index.hpp"
 
 namespace mgap::testbed {
-
-void check_self_forming(const ExperimentConfig& config) {
-  if (config.topology.wired()) return;
-  const std::string topo =
-      "topology = " + config.topology.name + std::to_string(config.topology.nodes.size());
-  if (config.topo.enabled()) {
-    throw std::runtime_error{"config: " + topo + " cannot take topo.generator " +
-                             "(a generated world is wired)"};
-  }
-  if (config.radio != core::LinkBackendKind::kBle) {
-    throw std::runtime_error{"config: " + topo + " needs link.backend = ble " +
-                             "(dynconn forms BLE links)"};
-  }
-  // A crash would only switch the radio off: dynconn has no suspend/resume,
-  // so the run would not model a reboot.
-  for (const auto& [key, ev] : config.faults) {
-    if (ev.kind == fault::FaultKind::kCrash) {
-      throw std::runtime_error{"config: " + key + ": a crash needs a wired topology, not " +
-                               topo};
-    }
-  }
-  // Chaos link faults pick from the topology's edges, and a self-forming one
-  // has none: chaos samples node-scoped faults only, and needs one to sample.
-  if (config.chaos.enabled()) {
-    const auto& kinds = config.chaos.kinds;
-    const bool crash = std::find(kinds.begin(), kinds.end(), fault::FaultKind::kCrash) !=
-                       kinds.end();
-    const bool node_scoped = std::any_of(kinds.begin(), kinds.end(), [](fault::FaultKind k) {
-      return k != fault::FaultKind::kBlackout && k != fault::FaultKind::kAttenuate;
-    });
-    if (kinds.empty() || crash || !node_scoped) {
-      throw std::runtime_error{"config: chaos_kinds on " + topo +
-                               " must leave out crash and name a kind that needs no edge"};
-    }
-  }
-}
 
 Experiment::Experiment(ExperimentConfig config)
     : config_{std::move(config)},
       sim_{config_.seed},
       metrics_{config_.metrics_bucket},
       arena_{config_.arena ? sim::Arena::Mode::kBump : sim::Arena::Mode::kHeap} {
-  check_self_forming(config_);
+  validate(config_);
   if (config_.topo.enabled()) {
     // Procedural world: placement + geometric channel + routing tree, all
     // deterministic from (spec, seed). Replaces any statically wired topology

@@ -178,12 +178,6 @@ struct ExperimentSummary {
   std::map<std::string, double> counters;
 };
 
-/// The rules a self-forming topology (no edges) adds to a configuration: the
-/// BLE backend, no generated world, no crash faults, and chaos kinds it can
-/// sample. Throws std::runtime_error naming the offending key; a no-op for
-/// wired topologies. Experiment's constructor and testbed::validate run it.
-void check_self_forming(const ExperimentConfig& config);
-
 class Experiment {
  public:
   explicit Experiment(ExperimentConfig config);

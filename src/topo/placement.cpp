@@ -87,6 +87,7 @@ Placement generate_placement(const TopoSpec& spec, std::uint64_t seed,
                              const std::vector<NodeId>& ids) {
   spec.validate();
   if (!spec.enabled()) throw std::runtime_error{"topo: generator is none"};
+  if (ids.empty()) throw std::runtime_error{"topo: no nodes to place"};
   if (ids.size() != spec.nodes) {
     throw std::runtime_error{"topo: id list size != topo.nodes"};
   }

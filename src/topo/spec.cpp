@@ -26,27 +26,15 @@ double TopoSpec::side() const {
 
 void TopoSpec::validate() const {
   if (!enabled()) return;
-  if (nodes < 2) throw std::runtime_error{"topo: need at least 2 nodes"};
-  if (nodes > 100'000) throw std::runtime_error{"topo: node count too large"};
-  if (area < 0.0) throw std::runtime_error{"topo: area must be >= 0"};
   if (area == 0.0 && !(density > 0.0)) {
     throw std::runtime_error{"topo: density must be > 0 when area is derived"};
-  }
-  if (!(range > 0.0)) throw std::runtime_error{"topo: range must be > 0"};
-  if (max_degree == 1) {
-    throw std::runtime_error{"topo: max_degree 1 cannot form a tree (use 0 or >= 2)"};
-  }
-  if (grid_jitter < 0.0 || grid_jitter > 1.0) {
-    throw std::runtime_error{"topo: grid_jitter must be in [0, 1]"};
   }
   if ((rooms_x == 0) != (rooms_y == 0)) {
     throw std::runtime_error{"topo: rooms must set both dimensions (e.g. 4x3)"};
   }
-  if (!(fade_margin_db > 0.0)) {
-    throw std::runtime_error{"topo: fade_margin_db must be > 0"};
+  if (max_degree == 1) {
+    throw std::runtime_error{"topo: max_degree 1 cannot form a tree (use 0 or >= 2)"};
   }
-  if (wall_loss_db < 0.0) throw std::runtime_error{"topo: wall_loss_db must be >= 0"};
-  if (!(path_loss_exp > 0.0)) throw std::runtime_error{"topo: path_loss_exp must be > 0"};
 }
 
 std::optional<Generator> parse_generator(std::string_view name) {

@@ -13,6 +13,9 @@
 
 namespace mgap::topo {
 
+/// The most nodes a world may have (`topo.nodes`, `starN`, `self_formingN`).
+inline constexpr unsigned kMaxNodes = 100'000;
+
 enum class Generator : std::uint8_t {
   kNone,        // hand-wired testbed topologies (tree15/line15/star)
   kGrid,        // regular square grid
@@ -71,9 +74,9 @@ struct TopoSpec {
   /// Resolved deployment side [m] (`area`, or derived from `density`).
   [[nodiscard]] double side() const;
 
-  /// Throws std::runtime_error on an unsatisfiable or nonsensical spec
-  /// (zero nodes, non-positive range, ...). Called from config validation so
-  /// a bad sweep axis fails at parse time, not after N-1 good cells.
+  /// Throws std::runtime_error unless an enabled spec's fields agree: a
+  /// derived area needs a density, `rooms` sets both dimensions or neither,
+  /// `max_degree` 1 forms no tree. Each field's bounds are its `topo.*` row's.
   void validate() const;
 };
 

@@ -190,8 +190,8 @@ TEST(SpecParse, EveryCellRunsTheConfCrossKeyChecks) {
             "campaign base: config: flow.congest_off_pct must not exceed flow.congest_on_pct");
   EXPECT_EQ(error_of("flow.backoff_base = 2s\nflow.backoff_max = 1s\n"),
             "campaign base: config: flow.backoff_base must not exceed flow.backoff_max");
-  EXPECT_EQ(error_of("topo.generator = rgg\ntopo.nodes = 1\n"),
-            "campaign base: config: topo: need at least 2 nodes");
+  EXPECT_EQ(error_of("topo.generator = rgg\ntopo.max_degree = 1\n"),
+            "campaign base: config: topo: max_degree 1 cannot form a tree (use 0 or >= 2)");
   // A grid cell is checked as a whole: only one of these four cells is bad.
   EXPECT_EQ(error_of("flow.congest_on_pct = 40, 90\nflow.congest_off_pct = 30, 60\n"),
             "campaign cell flow.congest_on_pct=40 flow.congest_off_pct=60: config: "

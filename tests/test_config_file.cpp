@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -549,8 +550,65 @@ TEST(ConfigFile, RejectsMalformedValuesInEveryKeyAndFaultField) {
       {"chaos_rate = nan", "config: bad chaos_rate"},
       {"drift_ppm_range = -1", "config: drift_ppm_range out of range [0, 1000]"},
       {"drift_ppm_range = 1e300", "config: drift_ppm_range out of range [0, 1000]"},
+      {"topo.range = inf", "config: bad topo.range"},
+      {"topo.tx_power_dbm = -inf", "config: bad topo.tx_power_dbm"},
+      {"chaos_rate = inf", "config: bad chaos_rate"},
+      {"fault.0 = interfere channels=1-3 at=1s for=2s node=3 radius=inf",
+       "config: 'fault.0': fault: bad radius="},
+      {"topology = star3.9", "config: bad topology"},
+      {"topology = star1", "config: topology out of range [2, 100000]"},
+      {"topology = star100001", "config: topology out of range [2, 100000]"},
   };
   for (const auto& [line, message] : cases) expect_config_error(line, message);
+}
+
+// A configuration built in code meets the bounds a parsed one does: the
+// Experiment constructor rejects each value with the text its parse gives.
+TEST(ConfigFile, ExperimentRejectsCodeBuiltValuesWithTheParsedText) {
+  fault::FaultEvent drift;
+  drift.kind = fault::FaultKind::kClockDrift;
+  drift.node = 2;
+  drift.at = sim::TimePoint::origin() + sim::Duration::sec(1);
+  drift.ppm = 1e300;
+  fault::FaultEvent jam;
+  jam.kind = fault::FaultKind::kInterfere;
+  jam.at = sim::TimePoint::origin() + sim::Duration::sec(1);
+  jam.duration = sim::Duration::sec(2);
+  jam.chan_lo = 14;
+  jam.chan_hi = 10;
+  struct Case {
+    const char* conf;
+    const char* message;
+    std::function<void(ExperimentConfig&)> set;
+  };
+  const Case cases[] = {
+      {"metrics_bucket = 0s", "config: bad metrics_bucket",
+       [](ExperimentConfig& c) { c.metrics_bucket = sim::Duration{}; }},
+      {"drift_ppm_range = 1e300", "config: drift_ppm_range out of range [0, 1000]",
+       [](ExperimentConfig& c) { c.drift_ppm_range = 1e300; }},
+      {"topo.generator = rgg\ntopo.nodes = 1", "config: topo.nodes out of range [2, 100000]",
+       [](ExperimentConfig& c) {
+         c.topo.generator = topo::Generator::kRgg;
+         c.topo.nodes = 1;
+       }},
+      {"fault.0 = clock_drift node=2 at=1s ppm=1e300",
+       "config: 'fault.0': fault: ppm= out of range [-1000, 1000]",
+       [&](ExperimentConfig& c) { c.faults["fault.0"] = drift; }},
+      {"fault.0 = interfere channels=14-10 at=1s for=2s",
+       "config: 'fault.0': fault: channels= needs LO <= HI",
+       [&](ExperimentConfig& c) { c.faults["fault.0"] = jam; }},
+  };
+  for (const Case& c : cases) {
+    expect_config_error(c.conf, c.message);
+    ExperimentConfig cfg;
+    c.set(cfg);
+    try {
+      const Experiment exp{cfg};
+      ADD_FAILURE() << "expected the code-built twin of '" << c.conf << "' to be rejected";
+    } catch (const std::runtime_error& err) {
+      EXPECT_EQ(err.what(), std::string{c.message}) << "for: " << c.conf;
+    }
+  }
 }
 
 /// One non-default value per key, as `input` lines, and the lines the render

@@ -635,6 +635,52 @@ TEST(FaultInjection, OverlappingDriftWindowsEndAtTheBuiltDrift) {
   EXPECT_EQ(exp.controller(2)->clock().drift_ppm(), built);
 }
 
+/// The crashes and reboots the injector performs on `plan` over 60 s, as
+/// "crash2@5s reboot2@15s ".
+std::string crash_log(const std::vector<std::string>& plan) {
+  sim::Simulator sim{1};
+  std::string log;
+  const auto note = [&](const char* what, NodeId node) {
+    log += what + std::to_string(node) + "@" + sim.now().since_origin().str() + " ";
+  };
+  InjectorHooks hooks;
+  hooks.on_crash = [&](NodeId node) { note("crash", node); };
+  hooks.on_reboot = [&](NodeId node) { note("reboot", node); };
+  FaultInjector injector{sim, nullptr, std::move(hooks)};
+  std::vector<FaultEvent> events;
+  for (const std::string& text : plan) events.push_back(parse_fault_event(text));
+  injector.arm(events);
+  sim.run_until(at_s(60));
+  return log;
+}
+
+TEST(FaultInjection, PermanentCrashOutlastsAWindowedOne) {
+  EXPECT_EQ(crash_log({"crash node=2 at=10s", "crash node=2 at=5s reboot_after=10s"}),
+            "crash2@5s ");
+
+  testbed::ExperimentConfig cfg = star_config();
+  cfg.faults["fault.0"] = parse_fault_event("crash node=2 at=20s");
+  cfg.faults["fault.1"] = parse_fault_event("crash node=2 at=15s reboot_after=10s");
+  testbed::Experiment exp{cfg};
+  exp.run();
+  EXPECT_TRUE(exp.statconn(2)->suspended());
+  EXPECT_FALSE(exp.controller(2)->radio_on());
+}
+
+TEST(FaultInjection, OverlappingCrashWindowsRebootWhenTheLastCloses) {
+  EXPECT_EQ(crash_log({"crash node=2 at=10s reboot_after=10s",
+                       "crash node=2 at=15s reboot_after=10s"}),
+            "crash2@10s reboot2@25s ");
+  // Back to back: the node stays down across the shared edge.
+  EXPECT_EQ(crash_log({"crash node=2 at=10s reboot_after=10s",
+                       "crash node=2 at=20s reboot_after=10s"}),
+            "crash2@10s reboot2@30s ");
+  // Windows on other nodes do not hold this one down.
+  EXPECT_EQ(crash_log({"crash node=2 at=10s reboot_after=10s",
+                       "crash node=3 at=15s reboot_after=10s"}),
+            "crash2@10s crash3@15s reboot2@20s reboot3@25s ");
+}
+
 /// One connection with anchors at 10 ms + k * 100 ms and an interfere window
 /// whose begin falls on the anchor at 1010 ms. Armed before the connection
 /// opens, the window's begin event was scheduled first and fires first at

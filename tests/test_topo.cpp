@@ -94,9 +94,13 @@ TEST(TopoSpec, BadKeysAndValuesThrow) {
     EXPECT_THROW((void)testbed::parse_experiment_config(text), std::runtime_error) << text;
   }
 
-  topo::TopoSpec bad = rgg_spec(1);
-  EXPECT_THROW(bad.validate(), std::runtime_error);  // < 2 nodes
-  bad = rgg_spec(10);
+  // A node count is a row bound, checked for a spec built in code too.
+  testbed::ExperimentConfig cfg;
+  cfg.topo = rgg_spec(1);
+  EXPECT_THROW(testbed::validate(cfg), std::runtime_error);  // < 2 nodes
+  // The generator itself refuses an empty world, whoever calls it.
+  EXPECT_THROW((void)topo::generate_world(rgg_spec(0), 1), std::runtime_error);
+  topo::TopoSpec bad = rgg_spec(10);
   bad.max_degree = 1;
   EXPECT_THROW(bad.validate(), std::runtime_error);  // cannot form a tree
 }
